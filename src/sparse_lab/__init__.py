@@ -47,32 +47,24 @@ from .pruning import (  # noqa: E402
     rewind,
     sparsity,
 )
-from .sketch import (  # noqa: E402
+from .rundir import (  # noqa: E402
     DatasetSpec,
     PhaseReport,
+    ProbeResult,
     RoundMetrics,
+    RunManifest,
     SketchConfig,
     SketchRun,
-    detect_phases,
-    load_dataset,
-    resume,
-    run_sketch,
-    sweep,
-)
-from .probes import (  # noqa: E402
-    ProbeResult,
-    amplification_check,
-    excess_logits,
-    excess_output,
-    probe_along_run,
 )
 from .reporting import (  # noqa: E402
-    RunManifest,
+    detect_phases,
     emit_curves,
     emit_metrics_csv,
     load_run,
     parse_metrics_csv,
 )
+from .sketch import load_dataset, resume, run_sketch, sweep  # noqa: E402
+from .probes import amplification_check, excess_logits, excess_output, probe_along_run  # noqa: E402
 from .cli import cli_main  # noqa: E402
 
 __all__ = [

@@ -14,13 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .nn import ParamSet
+from .rundir import CheckpointError, write_atomic
 
 MAGIC = b"SLTB"
 VERSION = 1
-
-
-class CheckpointError(ValueError):
-    """Raised when a checkpoint file is missing, truncated, or malformed."""
 
 
 def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
@@ -33,7 +30,7 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:

@@ -16,18 +16,6 @@ class ConfigError(ValueError):
     """Bad flag value, bad config file, or inconsistent options."""
 
 
-def _int(s: str) -> int:
-    return int(s)
-
-
-def _float(s: str) -> float:
-    return float(s)
-
-
-def _str(s: str) -> str:
-    return s
-
-
 def _int_list(s: str) -> list[int]:
     return [int(p) for p in s.split(",") if p.strip() != ""]
 
@@ -38,36 +26,35 @@ def _float_list(s: str) -> list[float]:
 
 # per-subcommand option tables: key -> (converter, default, help)
 SKETCH_OPTIONS: dict[str, tuple] = {
-    "dataset": (_str, "blobs", "dataset kind: mnist | idx | blobs"),
-    "data-dir": (_str, "data/mnist", "directory with the standard MNIST IDX files"),
-    "train-images": (_str, "", "IDX image file for training (dataset=idx)"),
-    "train-labels": (_str, "", "IDX label file for training (dataset=idx)"),
-    "test-images": (_str, "", "IDX image file for testing (dataset=idx)"),
-    "test-labels": (_str, "", "IDX label file for testing (dataset=idx)"),
-    "limit": (_int, 0, "truncate the training set to this many samples (0 = all)"),
-    "n-per-class": (_int, 100, "blobs: samples per class"),
-    "num-classes": (_int, 10, "blobs: number of classes"),
-    "dim": (_int, 32, "blobs: feature dimension"),
-    "separation": (_float, 3.0, "blobs: distance between neighboring class centers"),
-    "train-fraction": (_float, 0.8, "blobs: train split fraction"),
-    "data-seed": (_int, 0, "blobs: generation/split seed"),
+    "dataset": (str, "blobs", "dataset kind: mnist | idx | blobs"),
+    "data-dir": (str, "data/mnist", "directory with the standard MNIST IDX files"),
+    "train-images": (str, "", "IDX image file for training (dataset=idx)"),
+    "train-labels": (str, "", "IDX label file for training (dataset=idx)"),
+    "test-images": (str, "", "IDX image file for testing (dataset=idx)"),
+    "test-labels": (str, "", "IDX label file for testing (dataset=idx)"),
+    "limit": (int, 0, "truncate the training set to this many samples (0 = all)"),
+    "n-per-class": (int, 100, "blobs: samples per class"),
+    "num-classes": (int, 10, "blobs: number of classes"),
+    "dim": (int, 32, "blobs: feature dimension"),
+    "separation": (float, 3.0, "blobs: distance between neighboring class centers"),
+    "train-fraction": (float, 0.8, "blobs: train split fraction"),
+    "data-seed": (int, 0, "blobs: generation/split seed"),
     "arch": (_int_list, None, "comma-separated layer sizes, e.g. 784,300,100,10"),
-    "epochs": (_int, 200, "training epochs per round"),
-    "lr": (_float, 0.1, "learning rate"),
-    "momentum": (_float, 0.9, "SGD momentum"),
-    "lambda": (_float, 0.0, "L2 weight-decay coefficient"),
-    "batch-size": (_int, 128, "minibatch size"),
+    "epochs": (int, 200, "training epochs per round"),
+    "lr": (float, 0.1, "learning rate"),
+    "momentum": (float, 0.9, "SGD momentum"),
+    "lambda": (float, 0.0, "L2 weight-decay coefficient"),
+    "batch-size": (int, 128, "minibatch size"),
     "milestones": (_int_list, [], "epochs at which the learning rate decays"),
-    "gamma": (_float, 0.1, "learning-rate decay factor at each milestone"),
-    "seed": (_int, 0, "training seed (init + shuffling)"),
-    "epsilon": (_float, 0.0, "fraction of training labels to flip symmetrically"),
-    "noise-seed": (_int, 0, "label-noise seed"),
-    "t-iter": (_float, 0.2, "fraction of surviving weights pruned per round"),
-    "t-end": (_float, 0.999, "target sparsity ending the run"),
-    "scope": (_str, "layerwise", "pruning scope: layerwise | global"),
-    "run-id": (_str, "sketch", "run identifier"),
-    "out": (_str, None, "output directory for checkpoints and metrics"),
-    "delta": (_float, 1.0, "phase-detection threshold in accuracy percentage points"),
+    "gamma": (float, 0.1, "learning-rate decay factor at each milestone"),
+    "seed": (int, 0, "training seed (init + shuffling)"),
+    "epsilon": (float, 0.0, "fraction of training labels to flip symmetrically"),
+    "noise-seed": (int, 0, "label-noise seed"),
+    "t-iter": (float, 0.2, "fraction of surviving weights pruned per round"),
+    "t-end": (float, 0.999, "target sparsity ending the run"),
+    "scope": (str, "layerwise", "pruning scope: layerwise | global"),
+    "run-id": (str, "sketch", "run identifier"),
+    "out": (str, None, "output directory for checkpoints and metrics"),
 }
 
 SWEEP_EXTRA: dict[str, tuple] = {
@@ -127,7 +114,7 @@ def _add_table_options(parser: argparse.ArgumentParser, table: dict[str, tuple])
 def _build_sketch_config(opts: dict):
     from .nn import MlpArchitecture, TrainConfig
     from .pruning import PruneScope
-    from .sketch import DatasetSpec, SketchConfig
+    from .rundir import DatasetSpec, SketchConfig
 
     kind = opts["dataset"]
     limit = opts["limit"] or None
@@ -240,6 +227,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
     from .probes import PROBE_BATCH_SIZE, probe_along_run, save_probes
     from .reporting import emit_metrics_csv, load_run
+    from .rundir import METRICS_CSV
     from .sketch import load_dataset, read_config
     from .util import derive_seed
 
@@ -252,7 +240,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     probes = probe_along_run(run_dir, batch)
     save_probes(run_dir, probes)
     run = load_run(run_dir)
-    emit_metrics_csv(run, probes, run_dir / "metrics.csv")
+    emit_metrics_csv(run, probes, run_dir / METRICS_CSV)
     print(f"probed {len(probes)} pruned rounds in {run_dir}")
     for k, p in enumerate(probes):
         print(f"  round {k}: y_exc_l1 {p.y_exc_l1:.6g}, "
@@ -263,12 +251,12 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from .probes import load_probes
-    from .reporting import emit_curves, emit_metrics_csv, load_run, write_phase_report
-    from .sketch import detect_phases
+    from .reporting import detect_phases, emit_curves, emit_metrics_csv, load_run, write_phase_report
+    from .rundir import METRICS_CSV, is_run_dir
 
     run_dirs: list[Path] = []
     if args.sweep:
-        run_dirs.extend(sorted(p for p in Path(args.sweep).iterdir() if (p / "config.json").exists()))
+        run_dirs.extend(sorted(p for p in Path(args.sweep).iterdir() if is_run_dir(p)))
     for d in args.run or []:
         run_dirs.append(Path(d))
     if not run_dirs:
@@ -278,7 +266,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for d in run_dirs:
         run = load_run(d)
         probes = load_probes(d)
-        emit_metrics_csv(run, probes, d / "metrics.csv")
+        emit_metrics_csv(run, probes, d / METRICS_CSV)
         if len(run.rounds) >= 4:
             report = detect_phases(run, args.delta)
             run.phase_annotation = report
@@ -359,10 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--delta", type=float, default=1.0,
                           help="phase-detection threshold in accuracy percentage points")
 
-    p_selftest = sub.add_parser("selftest", help="run the built-in gradient and prune checks")
-    p_selftest.set_defaults()
+    sub.add_parser("selftest", help="run the built-in gradient and prune checks")
 
-    parser.set_defaults()
     for cmd, fn in (("sketch", _cmd_sketch), ("sweep", _cmd_sweep), ("probe", _cmd_probe),
                     ("report", _cmd_report), ("selftest", _cmd_selftest)):
         sub.choices[cmd].set_defaults(func=fn)
@@ -377,12 +363,7 @@ def cli_main(argv: list[str]) -> int:
         # argparse already printed usage/help; map its exit to our contract
         return 0 if exc.code == 0 else 1
     try:
-        prepared = args.func
-    except AttributeError:
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        return prepared(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

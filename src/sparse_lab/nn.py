@@ -213,7 +213,7 @@ def _layer_names(params: ParamSet) -> list[tuple[str, str]]:
     return pairs
 
 
-def _effective_weights(params: ParamSet, mask: "Mask | None") -> list[tuple[np.ndarray, np.ndarray]]:
+def effective_weights(params: ParamSet, mask: "Mask | None") -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (weight, bias) with the mask absorbed into the weights."""
     out = []
     for wname, bname in _layer_names(params):
@@ -224,7 +224,7 @@ def _effective_weights(params: ParamSet, mask: "Mask | None") -> list[tuple[np.n
     return out
 
 
-def _forward_trace(
+def forward_trace(
     params: ParamSet, mask: "Mask | None", batch: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Forward pass keeping intermediates.
@@ -236,7 +236,7 @@ def _forward_trace(
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise ValueError(f"batch must be 2-D [B, D], got shape {batch.shape}")
-    layers = _effective_weights(params, mask)
+    layers = effective_weights(params, mask)
     pre: list[np.ndarray] = []
     acts: list[np.ndarray] = [batch]
     h = batch
@@ -255,7 +255,7 @@ def _forward_trace(
 
 def forward(params: ParamSet, mask: "Mask | None", batch: np.ndarray) -> np.ndarray:
     """Compute logits [B, num_classes]; masked weights contribute exactly 0."""
-    logits, _, _ = _forward_trace(params, mask, batch)
+    logits, _, _ = forward_trace(params, mask, batch)
     return logits
 
 
@@ -288,7 +288,7 @@ def _loss_grad_logits(
     labels: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     labels = np.asarray(labels, dtype=np.int64)
-    logits, pre, acts = _forward_trace(params, mask, batch)
+    logits, pre, acts = forward_trace(params, mask, batch)
     loss, delta = _softmax_ce(logits, labels)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss}")
@@ -381,7 +381,7 @@ def evaluate(
     for start in range(0, n, chunk_size):
         feats = dataset.features[start : start + chunk_size]
         labels = dataset.labels[start : start + chunk_size]
-        logits, _, _ = _forward_trace(params, mask, feats)
+        logits, _, _ = forward_trace(params, mask, feats)
         loss, _ = _softmax_ce(logits, labels)
         total_loss += loss * feats.shape[0]
         correct += int(np.sum(np.argmax(logits, axis=1) == labels))

@@ -12,57 +12,17 @@ unit-L1 activation perturbation.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .nn import ParamSet, _effective_weights, _forward_trace, forward
+from .nn import ParamSet, effective_weights, forward, forward_trace
 from .pruning import Mask
-from .sketch import _load_round_state, _round_dir, read_config
+from .rundir import ProbeResult, completed_rounds, read_config
+from .rundir import load_probes, save_probes  # noqa: F401 - probes.json I/O for the CLI
+from .sketch import load_round_state
 
 PROBE_BATCH_SIZE = 256
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Excess-output measurements for one (params, mask) pair.
-
-    y_exc_l1: mean over the probe batch of the L1 gap between full and
-        masked logits.
-    per_layer_amplification: worst-case L1 gain from each hidden layer's
-        activation to the output, averaged over the batch (<= 1 means the
-        downstream path cannot amplify a perturbation there).
-    weight_l1_masked_out: total |w| mass sitting on masked-out positions.
-    condition1_score: mean |w * x| over (masked weight, sample) pairs.
-    condition2_score: max of per_layer_amplification (0 with no hidden layers).
-    """
-
-    y_exc_l1: float
-    per_layer_amplification: tuple[float, ...]
-    weight_l1_masked_out: float
-    condition1_score: float
-    condition2_score: float
-
-    def to_dict(self) -> dict:
-        return {
-            "y_exc_l1": self.y_exc_l1,
-            "per_layer_amplification": list(self.per_layer_amplification),
-            "weight_l1_masked_out": self.weight_l1_masked_out,
-            "condition1_score": self.condition1_score,
-            "condition2_score": self.condition2_score,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProbeResult":
-        return cls(
-            y_exc_l1=d["y_exc_l1"],
-            per_layer_amplification=tuple(d["per_layer_amplification"]),
-            weight_l1_masked_out=d["weight_l1_masked_out"],
-            condition1_score=d["condition1_score"],
-            condition2_score=d["condition2_score"],
-        )
 
 
 def excess_logits(params: ParamSet, mask: Mask, batch: np.ndarray) -> np.ndarray:
@@ -82,8 +42,8 @@ def amplification_check(params: ParamSet, batch: np.ndarray) -> list[float]:
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[0] == 0:
         raise ValueError("batch must be a non-empty 2-D array")
-    _, pre, _ = _forward_trace(params, None, batch)
-    layers = _effective_weights(params, None)
+    _, pre, _ = forward_trace(params, None, batch)
+    layers = effective_weights(params, None)
     num_layers = len(layers)
     ratios: list[float] = []
     for hidden in range(num_layers - 1):
@@ -108,7 +68,7 @@ def excess_output(params: ParamSet, mask: Mask, batch: np.ndarray) -> ProbeResul
     weight_l1 = 0.0
     prod_sum = 0.0
     prod_count = 0
-    _, _, acts = _forward_trace(params, None, batch)
+    _, _, acts = forward_trace(params, None, batch)
     for layer_idx, name in enumerate(mask.names()):
         w = params[name]
         removed = mask[name] == 0.0
@@ -140,29 +100,13 @@ def probe_along_run(run_dir: str | Path, probe_batch: np.ndarray) -> list[ProbeR
     the next pruning step removes.  A run with R pruned rounds yields R
     results.
     """
-    run_dir = Path(run_dir)
-    read_config(run_dir)  # validates presence + hash
-    results: list[ProbeResult] = []
-    k = 0
-    while _round_dir(run_dir, k + 1).is_dir():
-        if not _round_dir(run_dir, k).is_dir():
-            raise FileNotFoundError(f"missing checkpoint for round {k} in {run_dir}")
-        params, _ = _load_round_state(run_dir, k)
-        _, next_mask = _load_round_state(run_dir, k + 1)
-        results.append(excess_output(params, next_mask, probe_batch))
-        k += 1
-    if k == 0 and not _round_dir(run_dir, 0).is_dir():
+    cfg = read_config(run_dir)
+    done = len(completed_rounds(run_dir, cfg.config_hash()))
+    if done == 0:
         raise FileNotFoundError(f"no round checkpoints in {run_dir}")
+    results: list[ProbeResult] = []
+    for k in range(done - 1):
+        params, _ = load_round_state(run_dir, k)
+        _, next_mask = load_round_state(run_dir, k + 1)
+        results.append(excess_output(params, next_mask, probe_batch))
     return results
-
-
-def save_probes(run_dir: str | Path, probes: list[ProbeResult]) -> None:
-    path = Path(run_dir) / "probes.json"
-    path.write_text(json.dumps([p.to_dict() for p in probes], indent=2) + "\n")
-
-
-def load_probes(run_dir: str | Path) -> list[ProbeResult] | None:
-    path = Path(run_dir) / "probes.json"
-    if not path.exists():
-        return None
-    return [ProbeResult.from_dict(d) for d in json.loads(path.read_text())]

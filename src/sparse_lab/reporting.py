@@ -1,4 +1,4 @@
-"""Metrics CSV, curve files, and the per-run manifest.
+"""Metrics CSV, curve files, phase detection, and the per-run manifest.
 
 All emitted text is deterministic: LF newlines, comma separators, and
 minimal round-trip-exact decimal rendering, so re-emitting from the same
@@ -9,44 +9,37 @@ the manifest) so that identical configurations yield identical CSVs.
 
 from __future__ import annotations
 
-import json
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .probes import ProbeResult, load_probes
-from .sketch import PhaseReport, SketchRun, detect_phases
+import numpy as np
+
+from .rundir import (
+    METRICS_CSV,
+    PHASE,
+    PhaseReport,
+    ProbeResult,
+    RunManifest,
+    SketchRun,
+    completed_rounds,
+    load_manifest,
+    load_probes,
+    read_config,
+    save_manifest,
+    write_atomic,
+    write_json,
+)
 from .util import TOOL_VERSION, fmt_num, fmt_sig17
 
+DEFAULT_PHASE_DELTA = 1.0  # accuracy percentage points
 METRICS_HEADER = (
     "run_id,round,sparsity,epsilon,lambda,seed,"
     "train_loss,train_acc,test_loss,test_acc,y_exc_l1,wall_seconds"
 )
 CURVE_METRICS = ("train_loss", "train_acc", "test_loss", "test_acc", "y_exc_l1")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance card written next to every run's checkpoints."""
-
-    run_id: str
-    config_hash: str
-    tool_version: str
-    started_at: str
-    finished_at: str | None
-    host: str
-
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "host": self.host,
-        }
 
 
 def _now() -> str:
@@ -59,25 +52,20 @@ def _host_info() -> str:
 
 def write_manifest(run_dir: str | Path, run_id: str, config_hash: str) -> None:
     """Create the manifest at run start; an existing one is left in place."""
-    path = Path(run_dir) / "manifest.json"
-    if path.exists():
+    if load_manifest(run_dir) is not None:
         return
-    manifest = RunManifest(
+    save_manifest(run_dir, RunManifest(
         run_id=run_id,
         config_hash=config_hash,
         tool_version=TOOL_VERSION,
         started_at=_now(),
         finished_at=None,
         host=_host_info(),
-    )
-    path.write_text(json.dumps(manifest.to_dict(), indent=2) + "\n")
+    ))
 
 
 def finalize_manifest(run_dir: str | Path) -> None:
-    path = Path(run_dir) / "manifest.json"
-    payload = json.loads(path.read_text())
-    payload["finished_at"] = _now()
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    save_manifest(run_dir, replace(load_manifest(run_dir), finished_at=_now()))
 
 
 def emit_metrics_csv(
@@ -96,30 +84,24 @@ def emit_metrics_csv(
     if not run.rounds:
         raise ValueError("run has no rounds to emit")
     cfg = run.config
-    lines = [METRICS_HEADER]
-    for m in run.rounds:
-        y_exc = ""
-        if probes is not None and m.round < len(probes):
-            y_exc = fmt_num(probes[m.round].y_exc_l1)
-        lines.append(
-            ",".join(
-                (
-                    cfg.run_id,
-                    str(m.round),
-                    fmt_num(m.sparsity),
-                    fmt_num(cfg.epsilon),
-                    fmt_num(cfg.train.weight_decay),
-                    str(cfg.train.seed),
-                    fmt_num(m.final_train_loss),
-                    fmt_num(m.final_train_acc),
-                    fmt_num(m.test_loss),
-                    fmt_num(m.test_acc),
-                    y_exc,
-                    "",
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    rows = [
+        {
+            "run_id": cfg.run_id,
+            "round": m.round,
+            "sparsity": m.sparsity,
+            "epsilon": cfg.epsilon,
+            "lambda": cfg.train.weight_decay,
+            "seed": cfg.train.seed,
+            "train_loss": m.final_train_loss,
+            "train_acc": m.final_train_acc,
+            "test_loss": m.test_loss,
+            "test_acc": m.test_acc,
+            "y_exc_l1": probes[m.round].y_exc_l1 if probes is not None and m.round < len(probes) else None,
+            "wall_seconds": None,
+        }
+        for m in run.rounds
+    ]
+    reemit_metrics_csv(rows, path)
 
 
 def parse_metrics_csv(path: str | Path) -> list[dict]:
@@ -151,7 +133,10 @@ def parse_metrics_csv(path: str | Path) -> list[dict]:
 
 
 def reemit_metrics_csv(rows: list[dict], path: str | Path) -> None:
-    """Re-serialize parsed rows; byte-identical to the original emission."""
+    """Serialize row dicts under the header: the one writer of metrics.csv.
+
+    Rows from ``parse_metrics_csv`` re-emit byte-identically.
+    """
     lines = [METRICS_HEADER]
     for row in rows:
         cells = []
@@ -159,14 +144,12 @@ def reemit_metrics_csv(rows: list[dict], path: str | Path) -> None:
             value = row[key]
             if value is None:
                 cells.append("")
-            elif key == "run_id":
-                cells.append(str(value))
-            elif key in ("round", "seed"):
+            elif key in ("run_id", "round", "seed"):
                 cells.append(str(value))
             else:
                 cells.append(fmt_num(value))
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def emit_curves(
@@ -212,7 +195,7 @@ def emit_curves(
         path = out_dir / f"{run.config.run_id}.{metric}.curve.csv"
         lines = [f"sparsity,{metric}"]
         lines.extend(f"{fmt_sig17(s)},{fmt_sig17(v)}" for s, v in rows)
-        path.write_text("\n".join(lines) + "\n", newline="\n")
+        write_atomic(path, "\n".join(lines) + "\n")
         written.append(path)
 
     pairs = []
@@ -227,14 +210,13 @@ def emit_curves(
                 pairs.append((run.config.run_id, other.config.run_id))
     pairs.sort()
     pairs_path = out_dir / "pairs.txt"
-    pairs_path.write_text("".join(f"{a},{b}\n" for a, b in pairs), newline="\n")
+    write_atomic(pairs_path, "".join(f"{a},{b}\n" for a, b in pairs))
     written.append(pairs_path)
     return written
 
 
 def write_phase_report(run_dir: str | Path, report: PhaseReport) -> None:
-    path = Path(run_dir) / "phase.json"
-    path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(Path(run_dir) / PHASE, asdict(report))
 
 
 def finalize_run_dir(run: SketchRun, run_dir: str | Path) -> None:
@@ -242,20 +224,74 @@ def finalize_run_dir(run: SketchRun, run_dir: str | Path) -> None:
     stamp the manifest.  Idempotent and deterministic for a finished run."""
     run_dir = Path(run_dir)
     probes = load_probes(run_dir)
-    emit_metrics_csv(run, probes, run_dir / "metrics.csv")
+    emit_metrics_csv(run, probes, run_dir / METRICS_CSV)
     if run.phase_annotation is not None:
         write_phase_report(run_dir, run.phase_annotation)
     finalize_manifest(run_dir)
 
 
 def load_run(run_dir: str | Path) -> SketchRun:
-    """Reconstruct a SketchRun from a checkpoint directory without training."""
-    from .sketch import _scan_completed_rounds, read_config
+    """Reconstruct a SketchRun from its completed rounds, without training.
 
-    run_dir = Path(run_dir)
+    Read-only: a round still being written is left alone.
+    """
     cfg = read_config(run_dir)
-    rounds = _scan_completed_rounds(run_dir, cfg.config_hash())
-    run = SketchRun(config=cfg, rounds=rounds)
-    if len(rounds) >= 4:
+    run = SketchRun(config=cfg, rounds=completed_rounds(run_dir, cfg.config_hash()))
+    if len(run.rounds) >= 4:
         run.phase_annotation = detect_phases(run)
     return run
+
+
+def detect_phases(run: SketchRun, delta: float = DEFAULT_PHASE_DELTA) -> PhaseReport:
+    """Locate a test-accuracy dip/recovery pair and the terminal collapse.
+
+    ``delta`` is in accuracy percentage points (stored accuracies are
+    fractions).  A dip exists at round j when some earlier round beats it by
+    at least delta and some later round beats the dip by at least delta; the
+    deepest qualifying j is reported, with its best predecessor and best
+    successor.  The collapse is the last drop of at least delta below the
+    running maximum that never wins delta back.
+    """
+    rounds = run.rounds
+    if len(rounds) < 4:
+        raise ValueError(f"phase detection needs >= 4 rounds, run has {len(rounds)}")
+    acc = [100.0 * m.test_acc for m in rounds]
+    n = len(acc)
+
+    dip_j: int | None = None
+    for j in range(1, n - 1):
+        best_before = max(acc[:j])
+        best_after = max(acc[j + 1 :])
+        if acc[j] <= best_before - delta and best_after >= acc[j] + delta:
+            if dip_j is None or acc[j] < acc[dip_j]:
+                dip_j = j
+
+    collapse: int | None = None
+    for t in range(1, n):
+        running_max = max(acc[:t])
+        if acc[t] > running_max - delta:
+            continue
+        recovered = any(acc[u] >= acc[t] + delta for u in range(t + 1, n))
+        if not recovered:
+            collapse = t
+    detected = dip_j is not None
+    if not detected:
+        return PhaseReport(
+            detected=False,
+            delta=delta,
+            collapse_round=collapse,
+            collapse_sparsity=rounds[collapse].sparsity if collapse is not None else None,
+        )
+    j = dip_j
+    i = int(np.argmax(acc[:j]))
+    k = j + 1 + int(np.argmax(acc[j + 1 :]))
+    return PhaseReport(
+        detected=True,
+        delta=delta,
+        dip_round=j,
+        recovery_round=k,
+        collapse_round=collapse,
+        dip_sparsity=rounds[j].sparsity,
+        recovery_sparsity=rounds[k].sparsity,
+        collapse_sparsity=rounds[collapse].sparsity if collapse is not None else None,
+    )

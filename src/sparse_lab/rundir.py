@@ -1,0 +1,277 @@
+"""The on-disk layout of a run directory and the records stored in it.
+
+This module is the one place that knows the file names, the round
+directory scheme and how a file gets written::
+
+    config.json      the SketchConfig and its hash (checked on resume)
+    manifest.json    RunManifest: provenance and start/finish times
+    init.bin         the frozen initialization used for rewinding
+    round_NNN/       params.bin, mask.bin, then metrics.json
+    metrics.csv      one row per round
+    probes.json      one ProbeResult per pruned round
+    phase.json       the PhaseReport of the accuracy curve
+
+Every file is written through ``write_atomic``, so a reader or a killed
+writer sees the old contents or the new, never a part.  A round is complete
+once its ``metrics.json`` exists: it is written last.  Readers list the
+completed rounds and stop at the first one without it; only the writer
+(``run_sketch``) reclaims such a half-written round.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import shutil
+from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
+
+from .nn import EpochMetrics, MlpArchitecture, TrainConfig
+from .pruning import PruneScope
+
+CONFIG = "config.json"
+MANIFEST = "manifest.json"
+INIT = "init.bin"
+METRICS_CSV = "metrics.csv"
+PROBES = "probes.json"
+PHASE = "phase.json"
+PARAMS = "params.bin"
+MASK = "mask.bin"
+ROUND_METRICS = "metrics.json"  # the commit marker of a round
+
+
+class CheckpointError(ValueError):
+    """Raised when a checkpoint file is missing, truncated, or malformed."""
+
+
+@dataclass(frozen=True)
+class DatasetSpec:
+    """Where the run's data comes from: an IDX file pair or synthetic blobs."""
+
+    kind: str  # "idx" | "blobs"
+    train_images: str = ""
+    train_labels: str = ""
+    test_images: str = ""
+    test_labels: str = ""
+    limit: int | None = None
+    n_per_class: int = 100
+    num_classes: int = 10
+    dim: int = 32
+    separation: float = 3.0
+    train_fraction: float = 0.8
+    data_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("idx", "blobs"):
+            raise ValueError(f"unknown dataset kind {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class SketchConfig:
+    """Full recipe for one prune/rewind/retrain run."""
+
+    run_id: str
+    arch: MlpArchitecture
+    train: TrainConfig
+    dataset: DatasetSpec
+    t_iter: float = 0.2
+    t_end: float = 0.999
+    scope: PruneScope = PruneScope.LAYERWISE
+    epsilon: float = 0.0
+    noise_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.run_id:
+            raise ValueError("run_id must be non-empty")
+        if not 0.0 < self.t_iter < 1.0:
+            raise ValueError("t_iter must be in (0, 1)")
+        if not 0.0 < self.t_end < 1.0:
+            raise ValueError("t_end must be in (0, 1)")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError("epsilon must be in [0, 1]")
+
+    def config_hash(self) -> str:
+        canonical = json.dumps(_config_dict(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _config_dict(cfg: SketchConfig) -> dict:
+    # the hash of every existing run directory depends on this exact shape
+    return asdict(cfg) | {"arch": list(cfg.arch.layer_sizes), "scope": cfg.scope.value}
+
+
+@dataclass(frozen=True)
+class RoundMetrics:
+    """Metrics of one round (round 0 is the dense baseline at sparsity 0)."""
+
+    round: int
+    sparsity: float
+    final_train_loss: float
+    final_train_acc: float
+    test_loss: float
+    test_acc: float
+    wall_seconds: float
+
+
+@dataclass(frozen=True)
+class PhaseReport:
+    """Operational double-descent readout for one accuracy-vs-sparsity curve."""
+
+    detected: bool
+    delta: float
+    dip_round: int | None = None
+    recovery_round: int | None = None
+    collapse_round: int | None = None
+    dip_sparsity: float | None = None
+    recovery_sparsity: float | None = None
+    collapse_sparsity: float | None = None
+
+
+@dataclass
+class SketchRun:
+    """One completed (or in-progress) run: config plus ordered round metrics."""
+
+    config: SketchConfig
+    rounds: list[RoundMetrics] = field(default_factory=list)
+    phase_annotation: PhaseReport | None = None
+
+
+@dataclass(frozen=True)
+class ProbeResult:
+    """Excess-output measurements for one (params, mask) pair.
+
+    y_exc_l1: mean over the probe batch of the L1 gap between full and
+        masked logits.
+    per_layer_amplification: worst-case L1 gain from each hidden layer's
+        activation to the output, averaged over the batch (<= 1 means the
+        downstream path cannot amplify a perturbation there).
+    weight_l1_masked_out: total |w| mass sitting on masked-out positions.
+    condition1_score: mean |w * x| over (masked weight, sample) pairs.
+    condition2_score: max of per_layer_amplification (0 with no hidden layers).
+    """
+
+    y_exc_l1: float
+    per_layer_amplification: tuple[float, ...]
+    weight_l1_masked_out: float
+    condition1_score: float
+    condition2_score: float
+
+
+@dataclass(frozen=True)
+class RunManifest:
+    """Provenance card written next to every run's checkpoints."""
+
+    run_id: str
+    config_hash: str
+    tool_version: str
+    started_at: str
+    finished_at: str | None
+    host: str
+
+
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Replace ``path`` with ``data`` (text is UTF-8) through a temp file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, payload, sort_keys: bool = True) -> None:
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n")
+
+
+def is_run_dir(path: str | Path) -> bool:
+    return (Path(path) / CONFIG).exists()
+
+
+def round_dir(run_dir: str | Path, k: int) -> Path:
+    return Path(run_dir) / f"round_{k:03d}"
+
+
+def write_config(run_dir: str | Path, cfg: SketchConfig) -> None:
+    write_json(Path(run_dir) / CONFIG, {"config": _config_dict(cfg), "config_hash": cfg.config_hash()})
+
+
+def read_config(run_dir: str | Path) -> SketchConfig:
+    path = Path(run_dir) / CONFIG
+    if not path.exists():
+        raise FileNotFoundError(f"no {CONFIG} in {run_dir}")
+    payload = json.loads(path.read_text())
+    d = payload["config"]
+    t = d["train"]
+    cfg = SketchConfig(**(d | {
+        "arch": MlpArchitecture(d["arch"]),
+        "train": TrainConfig(**(t | {"lr_milestones": tuple(t["lr_milestones"])})),
+        "dataset": DatasetSpec(**d["dataset"]),
+        "scope": PruneScope(d["scope"]),
+    }))
+    if cfg.config_hash() != payload["config_hash"]:
+        raise ValueError(f"config hash mismatch in {path}: file was modified")
+    return cfg
+
+
+def commit_round(
+    run_dir: str | Path,
+    k: int,
+    metrics: RoundMetrics,
+    epoch_history: list[EpochMetrics],
+    config_hash: str,
+) -> None:
+    """Write round k's metrics.json, which marks its tensors as complete."""
+    write_json(round_dir(run_dir, k) / ROUND_METRICS, asdict(metrics) | {
+        "config_hash": config_hash,
+        "epoch_train_loss": [h.train_loss for h in epoch_history],
+        "epoch_train_acc": [h.train_acc for h in epoch_history],
+    })
+
+
+def completed_rounds(run_dir: str | Path, expected_hash: str) -> list[RoundMetrics]:
+    """Metrics of the completed rounds in order; reads only, deletes nothing."""
+    done: list[RoundMetrics] = []
+    while (path := round_dir(run_dir, len(done)) / ROUND_METRICS).exists():
+        try:
+            payload = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"round {len(done)}: unreadable metrics ({exc})") from exc
+        if payload.get("config_hash") != expected_hash:
+            raise ValueError(f"round {len(done)}: checkpoint belongs to a different config")
+        done.append(RoundMetrics(**{f.name: payload[f.name] for f in fields(RoundMetrics)}))
+    return done
+
+
+def discard_partial_round(run_dir: str | Path, k: int) -> None:
+    """Writer only: drop round k's directory, which a killed run left without metrics.json."""
+    d = round_dir(run_dir, k)
+    if d.is_dir():
+        shutil.rmtree(d)
+
+
+def save_manifest(run_dir: str | Path, manifest: RunManifest) -> None:
+    write_json(Path(run_dir) / MANIFEST, asdict(manifest), sort_keys=False)
+
+
+def load_manifest(run_dir: str | Path) -> RunManifest | None:
+    path = Path(run_dir) / MANIFEST
+    if not path.exists():
+        return None
+    return RunManifest(**json.loads(path.read_text()))
+
+
+def save_probes(run_dir: str | Path, probes: list[ProbeResult]) -> None:
+    write_json(Path(run_dir) / PROBES, [asdict(p) for p in probes], sort_keys=False)
+
+
+def load_probes(run_dir: str | Path) -> list[ProbeResult] | None:
+    path = Path(run_dir) / PROBES
+    if not path.exists():
+        return None
+    return [
+        ProbeResult(**(d | {"per_layer_amplification": tuple(d["per_layer_amplification"])}))
+        for d in json.loads(path.read_text())
+    ]

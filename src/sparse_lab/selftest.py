@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import MlpArchitecture, ParamSet, _forward_trace, init_params, loss_and_grad
+from .nn import MlpArchitecture, ParamSet, forward_trace, init_params, loss_and_grad
 from .pruning import Mask, PruneScope, prune
 from .util import derive_seed
 
@@ -60,7 +60,7 @@ def _random_small_net(seed: int) -> tuple[ParamSet, np.ndarray, np.ndarray]:
         batch_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "batch", attempt)))
         batch = batch_rng.standard_normal((4, sizes[0]))
         labels = batch_rng.integers(0, sizes[-1], size=4)
-        _, pre, _ = _forward_trace(params, None, batch)
+        _, pre, _ = forward_trace(params, None, batch)
         # keep pre-activations off the kink so finite differences stay smooth
         if all(np.abs(z).min() > 1e-3 for z in pre[:-1]):
             return params, batch, labels

@@ -9,198 +9,33 @@ last completed round with bit-identical results.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import shutil
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
+from . import reporting
 from .checkpoint import CheckpointError, load_params, load_tensors, save_params, save_tensors
 from .data import LabeledDataset, inject_symmetric_noise, load_idx, split, synth_blobs
-from .nn import MlpArchitecture, OptimizerState, ParamSet, TrainConfig, evaluate, init_params, train
-from .pruning import InitSnapshot, Mask, PruneScope, prune, rewind, sparsity
+from .nn import OptimizerState, ParamSet, evaluate, init_params, train
+from .pruning import InitSnapshot, Mask, prune, rewind, sparsity
+from .reporting import DEFAULT_PHASE_DELTA, detect_phases
+from .rundir import (
+    INIT,
+    MASK,
+    PARAMS,
+    DatasetSpec,
+    RoundMetrics,
+    SketchConfig,
+    SketchRun,
+    commit_round,
+    completed_rounds,
+    discard_partial_round,
+    is_run_dir,
+    read_config,
+    round_dir,
+    write_config,
+)
 from .util import derive_seed
-
-DEFAULT_PHASE_DELTA = 1.0  # accuracy percentage points
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Where the run's data comes from: an IDX file pair or synthetic blobs."""
-
-    kind: str  # "idx" | "blobs"
-    train_images: str = ""
-    train_labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
-    limit: int | None = None
-    n_per_class: int = 100
-    num_classes: int = 10
-    dim: int = 32
-    separation: float = 3.0
-    train_fraction: float = 0.8
-    data_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("idx", "blobs"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "train_images": self.train_images,
-            "train_labels": self.train_labels,
-            "test_images": self.test_images,
-            "test_labels": self.test_labels,
-            "limit": self.limit,
-            "n_per_class": self.n_per_class,
-            "num_classes": self.num_classes,
-            "dim": self.dim,
-            "separation": self.separation,
-            "train_fraction": self.train_fraction,
-            "data_seed": self.data_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetSpec":
-        return cls(**d)
-
-
-@dataclass(frozen=True)
-class SketchConfig:
-    """Full recipe for one prune/rewind/retrain run."""
-
-    run_id: str
-    arch: MlpArchitecture
-    train: TrainConfig
-    dataset: DatasetSpec
-    t_iter: float = 0.2
-    t_end: float = 0.999
-    scope: PruneScope = PruneScope.LAYERWISE
-    epsilon: float = 0.0
-    noise_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.run_id:
-            raise ValueError("run_id must be non-empty")
-        if not 0.0 < self.t_iter < 1.0:
-            raise ValueError("t_iter must be in (0, 1)")
-        if not 0.0 < self.t_end < 1.0:
-            raise ValueError("t_end must be in (0, 1)")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "arch": list(self.arch.layer_sizes),
-            "train": {
-                "epochs": self.train.epochs,
-                "lr": self.train.lr,
-                "momentum": self.train.momentum,
-                "weight_decay": self.train.weight_decay,
-                "batch_size": self.train.batch_size,
-                "lr_milestones": list(self.train.lr_milestones),
-                "lr_gamma": self.train.lr_gamma,
-                "seed": self.train.seed,
-            },
-            "dataset": self.dataset.to_dict(),
-            "t_iter": self.t_iter,
-            "t_end": self.t_end,
-            "scope": self.scope.value,
-            "epsilon": self.epsilon,
-            "noise_seed": self.noise_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SketchConfig":
-        t = dict(d["train"])
-        t["lr_milestones"] = tuple(t.get("lr_milestones", ()))
-        return cls(
-            run_id=d["run_id"],
-            arch=MlpArchitecture(d["arch"]),
-            train=TrainConfig(**t),
-            dataset=DatasetSpec.from_dict(d["dataset"]),
-            t_iter=d["t_iter"],
-            t_end=d["t_end"],
-            scope=PruneScope(d["scope"]),
-            epsilon=d["epsilon"],
-            noise_seed=d["noise_seed"],
-        )
-
-    def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class RoundMetrics:
-    """Metrics of one round (round 0 is the dense baseline at sparsity 0)."""
-
-    round: int
-    sparsity: float
-    final_train_loss: float
-    final_train_acc: float
-    test_loss: float
-    test_acc: float
-    wall_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "sparsity": self.sparsity,
-            "final_train_loss": self.final_train_loss,
-            "final_train_acc": self.final_train_acc,
-            "test_loss": self.test_loss,
-            "test_acc": self.test_acc,
-            "wall_seconds": self.wall_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RoundMetrics":
-        return cls(**{k: d[k] for k in (
-            "round", "sparsity", "final_train_loss", "final_train_acc",
-            "test_loss", "test_acc", "wall_seconds",
-        )})
-
-
-@dataclass(frozen=True)
-class PhaseReport:
-    """Operational double-descent readout for one accuracy-vs-sparsity curve."""
-
-    detected: bool
-    delta: float
-    dip_round: int | None = None
-    recovery_round: int | None = None
-    collapse_round: int | None = None
-    dip_sparsity: float | None = None
-    recovery_sparsity: float | None = None
-    collapse_sparsity: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "detected": self.detected,
-            "delta": self.delta,
-            "dip_round": self.dip_round,
-            "recovery_round": self.recovery_round,
-            "collapse_round": self.collapse_round,
-            "dip_sparsity": self.dip_sparsity,
-            "recovery_sparsity": self.recovery_sparsity,
-            "collapse_sparsity": self.collapse_sparsity,
-        }
-
-
-@dataclass
-class SketchRun:
-    """One completed (or in-progress) run: config plus ordered round metrics."""
-
-    config: SketchConfig
-    rounds: list[RoundMetrics] = field(default_factory=list)
-    phase_annotation: PhaseReport | None = None
 
 
 def load_dataset(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
@@ -215,67 +50,12 @@ def load_dataset(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     return split(full, spec.train_fraction, derive_seed(spec.data_seed, "split"))
 
 
-def _round_dir(run_dir: Path, k: int) -> Path:
-    return run_dir / f"round_{k:03d}"
-
-
-def _write_json_atomic(path: Path, payload: dict) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
-def write_config(run_dir: Path, cfg: SketchConfig) -> None:
-    _write_json_atomic(run_dir / "config.json", {
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-    })
-
-
-def read_config(run_dir: Path) -> SketchConfig:
-    path = Path(run_dir) / "config.json"
-    if not path.exists():
-        raise FileNotFoundError(f"no config.json in {run_dir}")
-    payload = json.loads(path.read_text())
-    cfg = SketchConfig.from_dict(payload["config"])
-    if cfg.config_hash() != payload["config_hash"]:
-        raise ValueError(f"config hash mismatch in {path}: file was modified")
-    return cfg
-
-
-def _load_round_metrics(run_dir: Path, k: int, expected_hash: str) -> RoundMetrics:
-    path = _round_dir(run_dir, k) / "metrics.json"
+def load_round_state(run_dir: str | Path, k: int) -> tuple[ParamSet, Mask]:
+    """Trained params and mask of completed round k."""
+    d = round_dir(run_dir, k)
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"round {k}: unreadable metrics ({exc})") from exc
-    if payload.get("config_hash") != expected_hash:
-        raise ValueError(f"round {k}: checkpoint belongs to a different config")
-    return RoundMetrics.from_dict(payload)
-
-
-def _scan_completed_rounds(run_dir: Path, expected_hash: str) -> list[RoundMetrics]:
-    """Completed rounds in order; wipes a trailing half-written round dir."""
-    done: list[RoundMetrics] = []
-    k = 0
-    while True:
-        d = _round_dir(run_dir, k)
-        if not d.is_dir():
-            break
-        if not (d / "metrics.json").exists():
-            # crashed mid-round: the commit marker is written last
-            shutil.rmtree(d)
-            break
-        done.append(_load_round_metrics(run_dir, k, expected_hash))
-        k += 1
-    return done
-
-
-def _load_round_state(run_dir: Path, k: int) -> tuple[ParamSet, Mask]:
-    d = _round_dir(run_dir, k)
-    try:
-        params = load_params(d / "params.bin")
-        mask = Mask(load_tensors(d / "mask.bin"))
+        params = load_params(d / PARAMS)
+        mask = Mask(load_tensors(d / MASK))
     except CheckpointError as exc:
         raise CheckpointError(f"round {k}: {exc}") from exc
     return params, mask
@@ -290,16 +70,11 @@ def _save_round(
     epoch_history: list,
     config_hash: str,
 ) -> None:
-    d = _round_dir(run_dir, k)
+    d = round_dir(run_dir, k)
     d.mkdir(parents=True, exist_ok=True)
-    save_params(d / "params.bin", params)
-    save_tensors(d / "mask.bin", {n: mask[n] for n in mask.names()})
-    payload = metrics.to_dict()
-    payload["config_hash"] = config_hash
-    payload["epoch_train_loss"] = [h.train_loss for h in epoch_history]
-    payload["epoch_train_acc"] = [h.train_acc for h in epoch_history]
-    # metrics.json is the commit marker: written last, atomically
-    _write_json_atomic(d / "metrics.json", payload)
+    save_params(d / PARAMS, params)
+    save_tensors(d / MASK, {n: mask[n] for n in mask.names()})
+    commit_round(run_dir, k, metrics, epoch_history, config_hash)
 
 
 def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchRun:
@@ -310,12 +85,10 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
     recomputation and execution continues from the first missing round.
     ``on_round`` (if given) is called with each newly computed RoundMetrics.
     """
-    from .reporting import finalize_run_dir, write_manifest  # lazy: avoids import cycle
-
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     cfg_hash = cfg.config_hash()
-    if (run_dir / "config.json").exists():
+    if is_run_dir(run_dir):
         existing = read_config(run_dir)
         if existing.config_hash() != cfg_hash:
             raise ValueError(
@@ -324,7 +97,7 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
             )
     else:
         write_config(run_dir, cfg)
-    write_manifest(run_dir, cfg.run_id, cfg_hash)
+    reporting.write_manifest(run_dir, cfg.run_id, cfg_hash)
 
     train_clean, test_set = load_dataset(cfg.dataset)
     if cfg.arch.input_dim != train_clean.dim:
@@ -339,7 +112,7 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
     # test purity: label noise only ever touches the training split
     assert test_set.noise is None
 
-    snapshot_path = run_dir / "init.bin"
+    snapshot_path = run_dir / INIT
     if snapshot_path.exists():
         snap_params = load_params(snapshot_path)
         snapshot = InitSnapshot(
@@ -351,9 +124,10 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
         )
         save_params(snapshot_path, snapshot.params)
 
-    rounds = _scan_completed_rounds(run_dir, cfg_hash)
+    rounds = completed_rounds(run_dir, cfg_hash)
+    discard_partial_round(run_dir, len(rounds))
     if rounds:
-        params, mask = _load_round_state(run_dir, len(rounds) - 1)
+        params, mask = load_round_state(run_dir, len(rounds) - 1)
     else:
         params = snapshot.params.copy()
         mask = Mask.full(params)
@@ -397,7 +171,7 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
     run = SketchRun(config=cfg, rounds=rounds)
     if len(rounds) >= 4:
         run.phase_annotation = detect_phases(run, DEFAULT_PHASE_DELTA)
-    finalize_run_dir(run, run_dir)
+    reporting.finalize_run_dir(run, run_dir)
     return run
 
 
@@ -406,61 +180,6 @@ def resume(run_dir: str | Path) -> SketchRun:
     run_dir = Path(run_dir)
     cfg = read_config(run_dir)
     return run_sketch(cfg, run_dir)
-
-
-def detect_phases(run: SketchRun, delta: float = DEFAULT_PHASE_DELTA) -> PhaseReport:
-    """Locate a test-accuracy dip/recovery pair and the terminal collapse.
-
-    ``delta`` is in accuracy percentage points (stored accuracies are
-    fractions).  A dip exists at round j when some earlier round beats it by
-    at least delta and some later round beats the dip by at least delta; the
-    deepest qualifying j is reported, with its best predecessor and best
-    successor.  The collapse is the last drop of at least delta below the
-    running maximum that never wins delta back.
-    """
-    rounds = run.rounds
-    if len(rounds) < 4:
-        raise ValueError(f"phase detection needs >= 4 rounds, run has {len(rounds)}")
-    acc = [100.0 * m.test_acc for m in rounds]
-    n = len(acc)
-
-    dip_j: int | None = None
-    for j in range(1, n - 1):
-        best_before = max(acc[:j])
-        best_after = max(acc[j + 1 :])
-        if acc[j] <= best_before - delta and best_after >= acc[j] + delta:
-            if dip_j is None or acc[j] < acc[dip_j]:
-                dip_j = j
-
-    collapse: int | None = None
-    for t in range(1, n):
-        running_max = max(acc[:t])
-        if acc[t] > running_max - delta:
-            continue
-        recovered = any(acc[u] >= acc[t] + delta for u in range(t + 1, n))
-        if not recovered:
-            collapse = t
-    detected = dip_j is not None
-    if not detected:
-        return PhaseReport(
-            detected=False,
-            delta=delta,
-            collapse_round=collapse,
-            collapse_sparsity=rounds[collapse].sparsity if collapse is not None else None,
-        )
-    j = dip_j
-    i = int(np.argmax(acc[:j]))
-    k = j + 1 + int(np.argmax(acc[j + 1 :]))
-    return PhaseReport(
-        detected=True,
-        delta=delta,
-        dip_round=j,
-        recovery_round=k,
-        collapse_round=collapse,
-        dip_sparsity=rounds[j].sparsity,
-        recovery_sparsity=rounds[k].sparsity,
-        collapse_sparsity=rounds[collapse].sparsity if collapse is not None else None,
-    )
 
 
 def _grid_tag(value: float) -> str:

@@ -28,7 +28,9 @@ from sparse_lab import (
     OptimizerState,
     ParamSet,
     PruneScope,
+    RoundMetrics,
     SketchConfig,
+    SketchRun,
     TrainConfig,
     detect_phases,
     evaluate,
@@ -51,7 +53,7 @@ from sparse_lab import (
     synth_blobs,
     train,
 )
-from sparse_lab.nn import _forward_trace
+from sparse_lab.nn import forward_trace
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -95,7 +97,7 @@ def random_small_net(seed):
         brng = np.random.default_rng(seed * 2000 + attempt)
         batch = brng.standard_normal((4, sizes[0]))
         labels = brng.integers(0, sizes[-1], size=4)
-        _, pre, _ = _forward_trace(params, None, batch)
+        _, pre, _ = forward_trace(params, None, batch)
         if all(np.abs(z).min() > 1e-3 for z in pre[:-1]):
             return params, batch, labels
     raise RuntimeError(f"no kink-free net for seed {seed}")
@@ -380,7 +382,7 @@ def sketch_in_memory(train_noisy, test_set, arch, cfg, probe_batch):
     mask = Mask.full(params)
     state = OptimizerState(params)
     # descriptive config for the assembled run (data already materialized)
-    run = sketch_mod.SketchRun(config=SketchConfig(
+    run = SketchRun(config=SketchConfig(
         run_id=f"dd-lam{cfg.weight_decay:g}-s{cfg.seed}",
         arch=arch, train=cfg,
         dataset=DatasetSpec(kind="blobs", dim=arch.input_dim, num_classes=10),
@@ -398,7 +400,7 @@ def sketch_in_memory(train_noisy, test_set, arch, cfg, probe_batch):
         train(params, mask, state, train_noisy, cfg)
         train_loss, train_acc = evaluate(params, mask, train_noisy)
         test_loss, test_acc = evaluate(params, mask, test_set)
-        run.rounds.append(sketch_mod.RoundMetrics(
+        run.rounds.append(RoundMetrics(
             round=k, sparsity=sparsity(mask),
             final_train_loss=train_loss, final_train_acc=train_acc,
             test_loss=test_loss, test_acc=test_acc,

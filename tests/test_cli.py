@@ -48,6 +48,14 @@ class TestSketchCommand:
         assert cli_main(["sketch", "--no-such-flag", "1"]) == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_delta_is_not_a_training_option(self, tmp_path, capsys):
+        # run_sketch always detects phases at the default delta; `report --delta` sets it
+        assert cli_main(sketch_args(tmp_path / "x", delta="2")) == 1
+        sweep = ["sweep"] + sketch_args(tmp_path / "g", delta="2")[1:]
+        assert cli_main(sweep + ["--lambdas", "0", "--epsilons", "0", "--seeds", "1"]) == 1
+        assert "--delta" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists() and not (tmp_path / "g").exists()
+
     def test_missing_out_is_config_error(self, capsys):
         assert cli_main(["sketch", "--dataset", "blobs"]) == 1
         assert "--out" in capsys.readouterr().err

@@ -125,7 +125,7 @@ class TestLossAndGrad:
         assert gradient_mismatch(analytic, numeric, params.names()) < 1e-6
 
     def test_gradient_exactness_randomized_nets(self):
-        from sparse_lab.nn import _forward_trace
+        from sparse_lab.nn import forward_trace
 
         checked = 0
         for seed in range(10):
@@ -136,7 +136,7 @@ class TestLossAndGrad:
             labels = rng.integers(0, 2, size=4)
             # finite differences need the loss smooth around the point:
             # skip draws whose pre-activations sit on a ReLU kink
-            _, pre, _ = _forward_trace(params, None, batch)
+            _, pre, _ = forward_trace(params, None, batch)
             if min(np.abs(z).min() for z in pre[:-1]) < 1e-3:
                 continue
             _, analytic = loss_and_grad(params, None, batch, labels)

@@ -167,13 +167,13 @@ class TestProbeAlongRun:
         assert len(series) == len(run.rounds) - 1
 
     def test_probe_pairs_params_with_next_mask(self, finished_run):
-        from sparse_lab.sketch import _load_round_state
+        from sparse_lab.sketch import load_round_state
 
         _, run, run_dir = finished_run
         batch = np.random.default_rng(12).standard_normal((10, 5))
         series = probe_along_run(run_dir, batch)
-        params0, _ = _load_round_state(run_dir, 0)
-        _, mask1 = _load_round_state(run_dir, 1)
+        params0, _ = load_round_state(run_dir, 0)
+        _, mask1 = load_round_state(run_dir, 1)
         direct = excess_output(params0, mask1, batch)
         assert series[0] == direct
 

@@ -1,7 +1,9 @@
 """Sketch orchestration: the prune/rewind/retrain loop, phases, resume, sweep."""
 
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,16 +13,21 @@ from sparse_lab import (
     DatasetSpec,
     MlpArchitecture,
     PhaseReport,
+    PruneScope,
     RoundMetrics,
     SketchConfig,
     SketchRun,
     TrainConfig,
     detect_phases,
+    load_run,
+    probe_along_run,
     resume,
     run_sketch,
     sweep,
 )
 from sparse_lab.checkpoint import CheckpointError
+from sparse_lab.reporting import write_phase_report
+from sparse_lab.rundir import read_config, write_config
 
 
 def tiny_config(run_id="t", epochs=1, t_iter=0.2, t_end=0.9, epsilon=0.0, seed=5, weight_decay=0.0):
@@ -81,8 +88,8 @@ class TestRunSketch:
     def test_identical_configs_identical_metrics(self, tmp_path):
         run_a = run_sketch(tiny_config(epsilon=0.2), tmp_path / "a")
         run_b = run_sketch(tiny_config(epsilon=0.2), tmp_path / "b")
-        assert [m.to_dict() | {"wall_seconds": 0} for m in run_a.rounds] == \
-               [m.to_dict() | {"wall_seconds": 0} for m in run_b.rounds]
+        assert [dataclasses.asdict(m) | {"wall_seconds": 0} for m in run_a.rounds] == \
+               [dataclasses.asdict(m) | {"wall_seconds": 0} for m in run_b.rounds]
         csv_a = (tmp_path / "a" / "metrics.csv").read_bytes()
         csv_b = (tmp_path / "b" / "metrics.csv").read_bytes()
         assert csv_a == csv_b
@@ -180,7 +187,7 @@ class TestResume:
         cfg = tiny_config()
         first = run_sketch(cfg, tmp_path / "r")
         again = resume(tmp_path / "r")
-        assert [m.to_dict() for m in again.rounds] == [m.to_dict() for m in first.rounds]
+        assert [dataclasses.asdict(m) for m in again.rounds] == [dataclasses.asdict(m) for m in first.rounds]
 
     def test_kill_and_resume_matches_uninterrupted(self, tmp_path, monkeypatch):
         cfg = tiny_config(epochs=2)
@@ -214,6 +221,39 @@ class TestResume:
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
                (tmp_path / "b" / "metrics.csv").read_bytes()
         assert len(resumed.rounds) == len(straight.rounds)
+
+    def test_init_write_cut_short_then_resume_finishes(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        run_sketch(cfg, tmp_path / "a")
+
+        real_write_bytes = Path.write_bytes
+
+        def cut_short(path, data):
+            if path.name.startswith("init.bin"):
+                real_write_bytes(path, data[: len(data) // 2])
+                raise KeyboardInterrupt("simulated kill mid-write")
+            return real_write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", cut_short)
+        with pytest.raises(KeyboardInterrupt):
+            run_sketch(cfg, tmp_path / "b")
+        monkeypatch.setattr(Path, "write_bytes", real_write_bytes)
+
+        resume(tmp_path / "b")
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
+               (tmp_path / "b" / "metrics.csv").read_bytes()
+        assert not list((tmp_path / "b").rglob("*.tmp"))
+
+    def test_readers_leave_a_round_in_progress_alone(self, tmp_path):
+        run = run_sketch(tiny_config(), tmp_path / "r")
+        in_progress = tmp_path / "r" / f"round_{len(run.rounds):03d}"
+        in_progress.mkdir()
+        (in_progress / "params.bin").write_bytes(b"being written")
+
+        assert len(load_run(tmp_path / "r").rounds) == len(run.rounds)
+        batch = np.random.default_rng(3).standard_normal((4, 6))
+        assert len(probe_along_run(tmp_path / "r", batch)) == len(run.rounds) - 1
+        assert (in_progress / "params.bin").read_bytes() == b"being written"
 
     def test_mismatched_config_refused(self, tmp_path):
         run_sketch(tiny_config(seed=5), tmp_path / "r")
@@ -269,19 +309,39 @@ class TestSweep:
         mtime = (tmp_path / first[0].config.run_id / "round_000" / "metrics.json").stat().st_mtime_ns
         second = sweep(cfg, [0.0], [0.2], [1], tmp_path)
         assert (tmp_path / first[0].config.run_id / "round_000" / "metrics.json").stat().st_mtime_ns == mtime
-        assert [m.to_dict() for m in first[0].rounds] == [m.to_dict() for m in second[0].rounds]
+        assert [dataclasses.asdict(m) for m in first[0].rounds] == [dataclasses.asdict(m) for m in second[0].rounds]
 
 
 class TestConfigRoundTrip:
-    def test_json_round_trip_preserves_hash(self):
+    def test_config_hash_is_pinned(self):
+        # existing run directories resume only while these hashes hold
+        small = SketchConfig(
+            run_id="t", arch=MlpArchitecture([8, 16, 4]), train=TrainConfig(epochs=1),
+            dataset=DatasetSpec(kind="blobs", dim=8, num_classes=4, n_per_class=20), t_end=0.5,
+        )
+        assert small.config_hash() == "ad03002e6b58d9caa072cb19f56c858d9ae5f802a46753db5ea64de7f6d7eae2"
+        every_field = SketchConfig(
+            run_id="golden",
+            arch=MlpArchitecture([8, 16, 4]),
+            train=TrainConfig(epochs=5, lr=0.05, momentum=0.5, weight_decay=1e-4, batch_size=32,
+                              lr_milestones=(2, 4), lr_gamma=0.5, seed=3),
+            dataset=DatasetSpec(kind="idx", train_images="a", train_labels="b",
+                                test_images="c", test_labels="d", limit=100),
+            t_iter=0.25, t_end=0.9, scope=PruneScope.GLOBAL, epsilon=0.3, noise_seed=9,
+        )
+        assert every_field.config_hash() == "0b0f162795d77e0fe043091d6ab07f170dc60b20443664788475d9eba632166b"
+
+    def test_json_round_trip_preserves_hash(self, tmp_path):
         cfg = tiny_config(epsilon=0.25)
-        rebuilt = SketchConfig.from_dict(cfg.to_dict())
+        write_config(tmp_path, cfg)
+        rebuilt = read_config(tmp_path)
         assert rebuilt.config_hash() == cfg.config_hash()
         assert rebuilt == cfg
 
-    def test_phase_report_serializes(self):
+    def test_phase_report_serializes(self, tmp_path):
         report = PhaseReport(detected=True, delta=2.0, dip_round=3, recovery_round=5,
                              dip_sparsity=0.5, recovery_sparsity=0.7)
-        payload = report.to_dict()
+        write_phase_report(tmp_path, report)
+        payload = json.loads((tmp_path / "phase.json").read_text())
         assert payload["detected"] is True
         assert payload["dip_round"] == 3
