@@ -8,6 +8,7 @@ flag names); explicit command-line flags override file values.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -226,11 +227,12 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .probes import PROBE_BATCH_SIZE, probe_along_run, save_probes
-    from .reporting import emit_metrics_csv, load_run
-    from .rundir import METRICS_CSV
+    from .reporting import finalize_run_dir, load_run
     from .sketch import load_dataset, read_config
     from .util import derive_seed
 
+    if args.probe_size is not None and args.probe_size < 1:
+        raise ConfigError(f"--probe-size must be at least 1, got {args.probe_size}")
     run_dir = Path(args.run)
     cfg = read_config(run_dir)
     _, test_set = load_dataset(cfg.dataset)
@@ -239,8 +241,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     batch = test_set.features[np.sort(rng.choice(test_set.size, size=size, replace=False))]
     probes = probe_along_run(run_dir, batch)
     save_probes(run_dir, probes)
-    run = load_run(run_dir)
-    emit_metrics_csv(run, probes, run_dir / METRICS_CSV)
+    finalize_run_dir(load_run(run_dir), run_dir)
     print(f"probed {len(probes)} pruned rounds in {run_dir}")
     for k, p in enumerate(probes):
         print(f"  round {k}: y_exc_l1 {p.y_exc_l1:.6g}, "
@@ -250,10 +251,11 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .probes import load_probes
-    from .reporting import detect_phases, emit_curves, emit_metrics_csv, load_run, write_phase_report
-    from .rundir import METRICS_CSV, is_run_dir
+    from .reporting import detect_phases, emit_curves, finalize_run_dir, load_run
+    from .rundir import is_run_dir
 
+    if not 0.0 < args.delta < math.inf:
+        raise ConfigError(f"--delta must be a positive finite number, got {args.delta}")
     run_dirs: list[Path] = []
     if args.sweep:
         run_dirs.extend(sorted(p for p in Path(args.sweep).iterdir() if is_run_dir(p)))
@@ -265,21 +267,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     runs, probes_by_run = [], {}
     for d in run_dirs:
         run = load_run(d)
-        probes = load_probes(d)
-        emit_metrics_csv(run, probes, d / METRICS_CSV)
         if len(run.rounds) >= 4:
-            report = detect_phases(run, args.delta)
-            run.phase_annotation = report
-            write_phase_report(d, report)
+            run.phase_annotation = detect_phases(run, args.delta)
+        probes_by_run[run.config.run_id] = finalize_run_dir(run, d)
         runs.append(run)
-        if probes is not None:
-            probes_by_run[run.config.run_id] = probes
 
     out_dir = Path(args.out) if args.out else (Path(args.sweep) if args.sweep else run_dirs[0])
     metrics = args.metrics.split(",") if args.metrics else ["test_acc"]
     try:
         for metric in metrics:
-            emit_curves(runs, metric.strip(), out_dir, probes_by_run or None)
+            emit_curves(runs, metric.strip(), out_dir, probes_by_run)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -19,7 +19,7 @@ import numpy as np
 from .nn import ParamSet, effective_weights, forward, forward_trace
 from .pruning import Mask
 from .rundir import ProbeResult, completed_rounds, read_config
-from .rundir import load_probes, save_probes  # noqa: F401 - probes.json I/O for the CLI
+from .rundir import load_probes, save_probes  # noqa: F401 - for the CLI and bench/tracer.py
 from .sketch import load_round_state
 
 PROBE_BATCH_SIZE = 256
@@ -39,36 +39,43 @@ def amplification_check(params: ParamSet, batch: np.ndarray) -> list[float]:
     ||output change||_1 / ||activation change||_1 over unit-L1 injected
     perturbations.  Returns the batch mean per hidden layer.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[0] == 0:
-        raise ValueError("batch must be a non-empty 2-D array")
     _, pre, _ = forward_trace(params, None, batch)
+    return _amplification(params, pre)
+
+
+def _amplification(params: ParamSet, pre: list[np.ndarray]) -> list[float]:
+    """``amplification_check`` from the unmasked pre-activations of a batch."""
     layers = effective_weights(params, None)
     num_layers = len(layers)
+    samples = pre[0].shape[0]
+    if samples == 0:
+        raise ValueError("batch must be a non-empty 2-D array")
     ratios: list[float] = []
     for hidden in range(num_layers - 1):
         # Jacobian of the tail starting after ReLU `hidden` (0-based hidden index)
         total = 0.0
-        for s in range(batch.shape[0]):
+        for s in range(samples):
             jac = layers[hidden + 1][0]
             for m in range(hidden + 2, num_layers):
                 gate = (pre[m - 1][s] > 0.0).astype(np.float64)
                 jac = layers[m][0] @ (gate[:, None] * jac)
             total += float(np.abs(jac).sum(axis=0).max())
-        ratios.append(total / batch.shape[0])
+        ratios.append(total / samples)
     return ratios
 
 
 def excess_output(params: ParamSet, mask: Mask, batch: np.ndarray) -> ProbeResult:
     """Measure the output perturbation attached to a mask's removed weights."""
     batch = np.asarray(batch, dtype=np.float64)
-    diff = excess_logits(params, mask, batch)
+    # one unmasked pass serves the excess, the removed-weight products and the amplification
+    logits, pre, acts = forward_trace(params, None, batch)
+    amp = _amplification(params, pre)
+    diff = logits - forward(params, mask, batch)
     y_exc_l1 = float(np.abs(diff).sum(axis=1).mean())
 
     weight_l1 = 0.0
     prod_sum = 0.0
     prod_count = 0
-    _, _, acts = forward_trace(params, None, batch)
     for layer_idx, name in enumerate(mask.names()):
         w = params[name]
         removed = mask[name] == 0.0
@@ -82,7 +89,6 @@ def excess_output(params: ParamSet, mask: Mask, batch: np.ndarray) -> ProbeResul
         prod_sum += float((a @ w_abs.T).sum())
         prod_count += n_removed * batch.shape[0]
 
-    amp = amplification_check(params, batch)
     return ProbeResult(
         y_exc_l1=y_exc_l1,
         per_layer_amplification=tuple(amp),
@@ -98,15 +104,16 @@ def probe_along_run(run_dir: str | Path, probe_batch: np.ndarray) -> list[ProbeR
     Entry k pairs round k's trained (pre-rewind) parameters with round k+1's
     mask, so the measured excess is exactly the contribution of the weights
     the next pruning step removes.  A run with R pruned rounds yields R
-    results.
+    results.  Each round is loaded once; its params carry to the next probe.
     """
     cfg = read_config(run_dir)
     done = len(completed_rounds(run_dir, cfg.config_hash()))
     if done == 0:
         raise FileNotFoundError(f"no round checkpoints in {run_dir}")
     results: list[ProbeResult] = []
-    for k in range(done - 1):
-        params, _ = load_round_state(run_dir, k)
-        _, next_mask = load_round_state(run_dir, k + 1)
+    params, _ = load_round_state(run_dir, 0)
+    for k in range(1, done):
+        next_params, next_mask = load_round_state(run_dir, k)
         results.append(excess_output(params, next_mask, probe_batch))
+        params = next_params
     return results

@@ -68,23 +68,10 @@ def finalize_manifest(run_dir: str | Path) -> None:
     save_manifest(run_dir, replace(load_manifest(run_dir), finished_at=_now()))
 
 
-def emit_metrics_csv(
-    run: SketchRun,
-    probes: list[ProbeResult] | None,
-    path: str | Path,
-) -> None:
-    """Write one CSV row per round under the fixed 12-column header.
-
-    Probe values align with rounds 0..R-1 (the excess removed from each
-    trained round by the next mask); rounds without a probe get an empty
-    field.  The wall_seconds column is always empty: wall time is telemetry,
-    recorded in the round checkpoints, and including it would break the
-    byte-identity of reruns.
-    """
-    if not run.rounds:
-        raise ValueError("run has no rounds to emit")
+def _metrics_rows(run: SketchRun, probes: list[ProbeResult] | None) -> list[dict]:
+    """One metrics.csv row dict per round; None marks an empty field."""
     cfg = run.config
-    rows = [
+    return [
         {
             "run_id": cfg.run_id,
             "round": m.round,
@@ -101,7 +88,24 @@ def emit_metrics_csv(
         }
         for m in run.rounds
     ]
-    reemit_metrics_csv(rows, path)
+
+
+def emit_metrics_csv(
+    run: SketchRun,
+    probes: list[ProbeResult] | None,
+    path: str | Path,
+) -> None:
+    """Write one CSV row per round under the fixed 12-column header.
+
+    Probe values align with rounds 0..R-1 (the excess removed from each
+    trained round by the next mask); rounds without a probe get an empty
+    field.  The wall_seconds column is always empty: wall time is telemetry,
+    recorded in the round checkpoints, and including it would break the
+    byte-identity of reruns.
+    """
+    if not run.rounds:
+        raise ValueError("run has no rounds to emit")
+    reemit_metrics_csv(_metrics_rows(run, probes), path)
 
 
 def parse_metrics_csv(path: str | Path) -> list[dict]:
@@ -156,7 +160,7 @@ def emit_curves(
     runs: list[SketchRun],
     metric: str,
     out_dir: str | Path,
-    probes_by_run: dict[str, list[ProbeResult]] | None = None,
+    probes_by_run: dict[str, list[ProbeResult] | None] | None = None,
 ) -> list[Path]:
     """Write one ``<run_id>.<metric>.curve.csv`` per run, plus pairs.txt.
 
@@ -175,26 +179,14 @@ def emit_curves(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for run in runs:
-        rows: list[tuple[float, float]] = []
-        for m in run.rounds:
-            if metric == "y_exc_l1":
-                series = (probes_by_run or {}).get(run.config.run_id)
-                if series is None or m.round >= len(series):
-                    continue
-                value = series[m.round].y_exc_l1
-            elif metric == "train_loss":
-                value = m.final_train_loss
-            elif metric == "train_acc":
-                value = m.final_train_acc
-            elif metric == "test_loss":
-                value = m.test_loss
-            else:
-                value = m.test_acc
-            rows.append((m.sparsity, value))
-        rows.sort(key=lambda r: r[0])
+        probes = (probes_by_run or {}).get(run.config.run_id)
+        rows = sorted(
+            ((row["sparsity"], row[metric]) for row in _metrics_rows(run, probes)),
+            key=lambda r: r[0],
+        )
         path = out_dir / f"{run.config.run_id}.{metric}.curve.csv"
         lines = [f"sparsity,{metric}"]
-        lines.extend(f"{fmt_sig17(s)},{fmt_sig17(v)}" for s, v in rows)
+        lines.extend(f"{fmt_sig17(s)},{fmt_sig17(v)}" for s, v in rows if v is not None)
         write_atomic(path, "\n".join(lines) + "\n")
         written.append(path)
 
@@ -219,27 +211,25 @@ def write_phase_report(run_dir: str | Path, report: PhaseReport) -> None:
     write_json(Path(run_dir) / PHASE, asdict(report))
 
 
-def finalize_run_dir(run: SketchRun, run_dir: str | Path) -> None:
-    """Emit metrics.csv (merging stored probes, if any), phase.json, and
-    stamp the manifest.  Idempotent and deterministic for a finished run."""
+def finalize_run_dir(run: SketchRun, run_dir: str | Path) -> list[ProbeResult] | None:
+    """The one writer of metrics.csv (the rounds plus the stored probes, which
+    it returns) and, when ``run.phase_annotation`` is set, of phase.json."""
     run_dir = Path(run_dir)
     probes = load_probes(run_dir)
     emit_metrics_csv(run, probes, run_dir / METRICS_CSV)
     if run.phase_annotation is not None:
         write_phase_report(run_dir, run.phase_annotation)
-    finalize_manifest(run_dir)
+    return probes
 
 
 def load_run(run_dir: str | Path) -> SketchRun:
     """Reconstruct a SketchRun from its completed rounds, without training.
 
-    Read-only: a round still being written is left alone.
+    A pure reader: a round still being written is left alone, and
+    ``phase_annotation`` stays None (see ``detect_phases``).
     """
     cfg = read_config(run_dir)
-    run = SketchRun(config=cfg, rounds=completed_rounds(run_dir, cfg.config_hash()))
-    if len(run.rounds) >= 4:
-        run.phase_annotation = detect_phases(run)
-    return run
+    return SketchRun(config=cfg, rounds=completed_rounds(run_dir, cfg.config_hash()))
 
 
 def detect_phases(run: SketchRun, delta: float = DEFAULT_PHASE_DELTA) -> PhaseReport:

@@ -31,6 +31,7 @@ from .rundir import (
     completed_rounds,
     discard_partial_round,
     is_run_dir,
+    load_manifest,
     read_config,
     round_dir,
     write_config,
@@ -125,7 +126,8 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
         save_params(snapshot_path, snapshot.params)
 
     rounds = completed_rounds(run_dir, cfg_hash)
-    discard_partial_round(run_dir, len(rounds))
+    done_before = len(rounds)
+    discard_partial_round(run_dir, done_before)
     if rounds:
         params, mask = load_round_state(run_dir, len(rounds) - 1)
     else:
@@ -171,12 +173,15 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
     run = SketchRun(config=cfg, rounds=rounds)
     if len(rounds) >= 4:
         run.phase_annotation = detect_phases(run, DEFAULT_PHASE_DELTA)
-    reporting.finalize_run_dir(run, run_dir)
+    # a finished run is left untouched; one killed before its stamp is finalized now
+    if len(rounds) > done_before or load_manifest(run_dir).finished_at is None:
+        reporting.finalize_run_dir(run, run_dir)
+        reporting.finalize_manifest(run_dir)
     return run
 
 
 def resume(run_dir: str | Path) -> SketchRun:
-    """Continue a run from its last completed round (no-op when finished)."""
+    """Continue a run from its last completed round; a finished run is not written to."""
     run_dir = Path(run_dir)
     cfg = read_config(run_dir)
     return run_sketch(cfg, run_dir)

@@ -169,6 +169,20 @@ class TestProbeAndReport:
     def test_report_needs_a_target(self, capsys):
         assert cli_main(["report"]) == 1
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_probe_size_below_one_is_config_error(self, run_dir, capsys, size):
+        assert cli_main(["probe", "--run", str(run_dir), "--probe-size", size]) == 1
+        assert "--probe-size" in capsys.readouterr().err
+        assert not (run_dir / "probes.json").exists()
+
+    @pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
+    def test_report_delta_must_be_positive_and_finite(self, run_dir, capsys, delta):
+        phase = (run_dir / "phase.json").read_bytes()
+        assert cli_main(["report", "--run", str(run_dir), "--delta", delta]) == 1
+        assert "--delta" in capsys.readouterr().err
+        assert (run_dir / "phase.json").read_bytes() == phase
+        assert not (run_dir / "pairs.txt").exists()
+
     def test_probe_then_report_keeps_probe_column(self, run_dir):
         assert cli_main(["probe", "--run", str(run_dir)]) == 0
         with_probes = (run_dir / "metrics.csv").read_bytes()

@@ -1,8 +1,11 @@
 """Excess-output probes and amplification checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sparse_lab.sketch as sketch_mod
 from sparse_lab import (
     DatasetSpec,
     Mask,
@@ -181,6 +184,19 @@ class TestProbeAlongRun:
         _, _, run_dir = finished_run
         batch = np.random.default_rng(13).standard_normal((8, 5))
         assert probe_along_run(run_dir, batch) == probe_along_run(run_dir, batch)
+
+    def test_each_round_file_is_read_once(self, finished_run, monkeypatch):
+        _, run, run_dir = finished_run
+        assert len(run.rounds) >= 3
+        reads = []
+        for name in ("load_params", "load_tensors"):
+            def counting(path, _load=getattr(sketch_mod, name)):
+                reads.append(Path(path))
+                return _load(path)
+            monkeypatch.setattr(sketch_mod, name, counting)
+        probe_along_run(run_dir, np.random.default_rng(14).standard_normal((4, 5)))
+        assert reads
+        assert len(reads) == len(set(reads))
 
     def test_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sparse_lab.reporting as reporting_mod
 import sparse_lab.sketch as sketch_mod
 from sparse_lab import (
     DatasetSpec,
@@ -18,6 +19,7 @@ from sparse_lab import (
     SketchConfig,
     SketchRun,
     TrainConfig,
+    cli_main,
     detect_phases,
     load_run,
     probe_along_run,
@@ -254,6 +256,45 @@ class TestResume:
         batch = np.random.default_rng(3).standard_normal((4, 6))
         assert len(probe_along_run(tmp_path / "r", batch)) == len(run.rounds) - 1
         assert (in_progress / "params.bin").read_bytes() == b"being written"
+
+    def test_resume_of_finished_run_writes_nothing(self, tmp_path):
+        run_sketch(tiny_config(), tmp_path / "r")
+
+        def files():
+            return {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                    for p in (tmp_path / "r").rglob("*") if p.is_file()}
+
+        before = files()
+        resume(tmp_path / "r")
+        assert files() == before
+
+    def test_resume_keeps_phase_report_written_by_report(self, tmp_path):
+        run_sketch(tiny_config(), tmp_path / "r")
+        assert cli_main(["report", "--run", str(tmp_path / "r"), "--delta", "5"]) == 0
+        resume(tmp_path / "r")
+        assert json.loads((tmp_path / "r" / "phase.json").read_text())["delta"] == 5.0
+
+    def test_kill_before_finalizing_then_resume_finalizes(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        run_sketch(cfg, tmp_path / "a")
+
+        real_finalize = reporting_mod.finalize_run_dir
+
+        def killed_once(run, run_dir):
+            monkeypatch.setattr(reporting_mod, "finalize_run_dir", real_finalize)
+            raise KeyboardInterrupt("simulated kill after the last round")
+
+        monkeypatch.setattr(reporting_mod, "finalize_run_dir", killed_once)
+        with pytest.raises(KeyboardInterrupt):
+            run_sketch(cfg, tmp_path / "b")
+        manifest = tmp_path / "b" / "manifest.json"
+        assert json.loads(manifest.read_text())["finished_at"] is None
+        assert not (tmp_path / "b" / "metrics.csv").exists()
+
+        resume(tmp_path / "b")
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
+               (tmp_path / "b" / "metrics.csv").read_bytes()
+        assert json.loads(manifest.read_text())["finished_at"] is not None
 
     def test_mismatched_config_refused(self, tmp_path):
         run_sketch(tiny_config(seed=5), tmp_path / "r")
