@@ -8,6 +8,7 @@ floats are little-endian.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -33,42 +34,53 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
     write_atomic(path, b"".join(parts))
 
 
-def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
+def _read_tensors(path: str | Path, payloads: bool) -> dict[str, np.ndarray | None]:
+    """Parse a checkpoint, reading each payload or seeking past it."""
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        f = open(path, "rb")
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    with f:
+        size = os.fstat(f.fileno()).st_size
 
-    view = memoryview(blob)
-    offset = 0
+        def take(count: int, what: str, skip: bool = False) -> bytes:
+            if f.tell() + count > size:
+                raise CheckpointError(f"truncated checkpoint {path}: no room for {what}")
+            if skip:
+                f.seek(count, os.SEEK_CUR)
+                return b""
+            return f.read(count)
 
-    def take(count: int, what: str) -> memoryview:
-        nonlocal offset
-        if offset + count > len(view):
-            raise CheckpointError(f"truncated checkpoint {path}: no room for {what}")
-        chunk = view[offset : offset + count]
-        offset += count
-        return chunk
+        if take(4, "magic") != MAGIC:
+            raise CheckpointError(f"bad magic in checkpoint {path}")
+        version, count = struct.unpack("<BI", take(5, "header"))
+        if version != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
 
-    if bytes(take(4, "magic")) != MAGIC:
-        raise CheckpointError(f"bad magic in checkpoint {path}")
-    version, count = struct.unpack("<BI", take(5, "header"))
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
-
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = bytes(take(name_len, "name")).decode("utf-8")
-        (ndim,) = struct.unpack("<B", take(1, "rank"))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
-        size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        payload = take(8 * size, f"payload of {name!r}")
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    if offset != len(view):
-        raise CheckpointError(f"trailing bytes in checkpoint {path}")
+        tensors: dict[str, np.ndarray | None] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", take(2, "name length"))
+            name = take(name_len, "name").decode("utf-8")
+            (ndim,) = struct.unpack("<B", take(1, "rank"))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
+            numel = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+            payload = take(8 * numel, f"payload of {name!r}", skip=not payloads)
+            tensors[name] = (
+                np.frombuffer(payload, dtype="<f8").reshape(shape).copy() if payloads else None
+            )
+        if f.tell() != size:
+            raise CheckpointError(f"trailing bytes in checkpoint {path}")
     return tensors
+
+
+def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
+    return _read_tensors(path, payloads=True)
+
+
+def verify_tensors(path: str | Path) -> None:
+    """Raise CheckpointError unless the file parses as a checkpoint; payloads are not read."""
+    _read_tensors(path, payloads=False)
 
 
 def save_params(path: str | Path, params: ParamSet) -> None:

@@ -251,7 +251,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .reporting import detect_phases, emit_curves, finalize_run_dir, load_run
+    from .reporting import check_curves, detect_phases, emit_curves, finalize_run_dir, load_run
     from .rundir import is_run_dir
 
     if not 0.0 < args.delta < math.inf:
@@ -264,21 +264,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not run_dirs:
         raise ConfigError("report needs --run DIR (repeatable) or --sweep DIR")
 
-    runs, probes_by_run = [], {}
-    for d in run_dirs:
-        run = load_run(d)
+    runs = [load_run(d) for d in run_dirs]
+    metrics = [m.strip() for m in args.metrics.split(",")] if args.metrics else ["test_acc"]
+    try:
+        check_curves(runs, metrics)  # before anything is written
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    probes_by_run = {}
+    for run, d in zip(runs, run_dirs):
         if len(run.rounds) >= 4:
             run.phase_annotation = detect_phases(run, args.delta)
         probes_by_run[run.config.run_id] = finalize_run_dir(run, d)
-        runs.append(run)
 
     out_dir = Path(args.out) if args.out else (Path(args.sweep) if args.sweep else run_dirs[0])
-    metrics = args.metrics.split(",") if args.metrics else ["test_acc"]
-    try:
-        for metric in metrics:
-            emit_curves(runs, metric.strip(), out_dir, probes_by_run)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for metric in metrics:
+        emit_curves(runs, metric, out_dir, probes_by_run)
 
     for run in runs:
         note = ""

@@ -30,8 +30,8 @@ class Mask:
         self._entries: dict[str, np.ndarray] = {}
         for name, arr in entries.items():
             arr = np.ascontiguousarray(arr, dtype=np.float64)
-            vals = np.unique(arr)
-            if not np.all(np.isin(vals, (0.0, 1.0))):
+            # one elementwise pass, no sort; NaN fails both comparisons, -0.0 passes
+            if not np.all((arr == 0.0) | (arr == 1.0)):
                 raise ValueError(f"mask {name!r} must contain only 0.0 and 1.0")
             self._entries[name] = arr
 

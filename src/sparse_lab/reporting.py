@@ -156,6 +156,17 @@ def reemit_metrics_csv(rows: list[dict], path: str | Path) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+def check_curves(runs: list[SketchRun], metrics: list[str]) -> None:
+    """Raise ValueError for a curve request that ``emit_curves`` would refuse."""
+    for metric in metrics:
+        if metric not in CURVE_METRICS:
+            raise ValueError(
+                f"unknown metric {metric!r}; valid metrics: {', '.join(CURVE_METRICS)}"
+            )
+    if len({run.config.dataset for run in runs}) > 1:
+        raise ValueError("curve overlays require all runs to share one dataset")
+
+
 def emit_curves(
     runs: list[SketchRun],
     metric: str,
@@ -168,13 +179,7 @@ def emit_curves(
     with 17 significant digits.  pairs.txt lists vanilla/L2 run id pairs
     matched on (epsilon, seed) for overlay plotting.
     """
-    if metric not in CURVE_METRICS:
-        raise ValueError(
-            f"unknown metric {metric!r}; valid metrics: {', '.join(CURVE_METRICS)}"
-        )
-    specs = {run.config.dataset for run in runs}
-    if len(specs) > 1:
-        raise ValueError("curve overlays require all runs to share one dataset")
+    check_curves(runs, [metric])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -14,7 +14,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import reporting
-from .checkpoint import CheckpointError, load_params, load_tensors, save_params, save_tensors
+from .checkpoint import (
+    CheckpointError,
+    load_params,
+    load_tensors,
+    save_params,
+    save_tensors,
+    verify_tensors,
+)
 from .data import LabeledDataset, inject_symmetric_noise, load_idx, split, synth_blobs
 from .nn import OptimizerState, ParamSet, evaluate, init_params, train
 from .pruning import InitSnapshot, Mask, prune, rewind, sparsity
@@ -100,6 +107,19 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
         write_config(run_dir, cfg)
     reporting.write_manifest(run_dir, cfg.run_id, cfg_hash)
 
+    rounds = completed_rounds(run_dir, cfg_hash)
+    done_before = len(rounds)
+    finished = load_manifest(run_dir).finished_at is not None
+    if finished and rounds and rounds[-1].sparsity >= cfg.t_end:
+        # nothing to train or write: check the last round's files, load nothing
+        last = round_dir(run_dir, len(rounds) - 1)
+        try:
+            verify_tensors(last / PARAMS)
+            verify_tensors(last / MASK)
+        except CheckpointError as exc:
+            raise CheckpointError(f"round {len(rounds) - 1}: {exc}") from exc
+        return _as_run(cfg, rounds)
+
     train_clean, test_set = load_dataset(cfg.dataset)
     if cfg.arch.input_dim != train_clean.dim:
         raise ValueError(
@@ -125,8 +145,6 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
         )
         save_params(snapshot_path, snapshot.params)
 
-    rounds = completed_rounds(run_dir, cfg_hash)
-    done_before = len(rounds)
     discard_partial_round(run_dir, done_before)
     if rounds:
         params, mask = load_round_state(run_dir, len(rounds) - 1)
@@ -170,13 +188,19 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
     while sparsity(mask) < cfg.t_end:
         run_round(len(rounds))
 
+    run = _as_run(cfg, rounds)
+    # a finished run is left untouched; one killed before its stamp is finalized now
+    if len(rounds) > done_before or not finished:
+        reporting.finalize_run_dir(run, run_dir)
+        reporting.finalize_manifest(run_dir)
+    return run
+
+
+def _as_run(cfg: SketchConfig, rounds: list[RoundMetrics]) -> SketchRun:
+    """The SketchRun of ``rounds``, phases detected at the default delta."""
     run = SketchRun(config=cfg, rounds=rounds)
     if len(rounds) >= 4:
         run.phase_annotation = detect_phases(run, DEFAULT_PHASE_DELTA)
-    # a finished run is left untouched; one killed before its stamp is finalized now
-    if len(rounds) > done_before or load_manifest(run_dir).finished_at is None:
-        reporting.finalize_run_dir(run, run_dir)
-        reporting.finalize_manifest(run_dir)
     return run
 
 

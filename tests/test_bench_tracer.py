@@ -6,6 +6,7 @@ only when the benchmark runs with tracing on.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import sparse_lab.sketch as sketch
@@ -46,3 +47,8 @@ def test_layer_spans_count_rounds_probes_and_checkpoint_reads(tmp_path):
     assert metrics["sketch.rounds"] > 0
     assert metrics["probes.calls"] > 0
     assert metrics["checkpoint.bytes_read"] > 0
+    # train must keep calling nn.sgd_step once per step, or the step metrics go blank
+    n_train = sketch.load_dataset(cfg.dataset)[0].size
+    steps_per_round = cfg.train.epochs * math.ceil(n_train / cfg.train.batch_size)
+    assert metrics["nn.steps"] == metrics["sketch.rounds"] * steps_per_round
+    assert metrics["nn.sgd_step_s"] > 0

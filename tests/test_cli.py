@@ -166,6 +166,26 @@ class TestProbeAndReport:
         assert cli_main(["report", "--run", str(run_dir), "--metrics", "bogus"]) == 1
         assert "test_acc" in capsys.readouterr().err
 
+    def test_report_refused_before_any_write(self, run_dir, capsys):
+        def stamps():
+            return {name: ((run_dir / name).read_bytes(), (run_dir / name).stat().st_mtime_ns)
+                    for name in ("metrics.csv", "phase.json")}
+
+        before = stamps()
+        assert cli_main(["report", "--run", str(run_dir), "--delta", "5", "--metrics", "bogus"]) == 1
+        assert "bogus" in capsys.readouterr().err
+        assert stamps() == before
+        assert not (run_dir / "pairs.txt").exists()
+
+    def test_report_mixed_datasets_refused_before_any_write(self, run_dir, tmp_path, capsys):
+        other = tmp_path / "runs" / "q"
+        assert cli_main(sketch_args(other, **{"data-seed": "9", "run-id": "other"})) == 0
+        dirs = (run_dir, other)
+        before = {d: (d / "phase.json").stat().st_mtime_ns for d in dirs}
+        assert cli_main(["report", "--run", str(run_dir), "--run", str(other), "--delta", "5"]) == 1
+        assert "one dataset" in capsys.readouterr().err
+        assert {d: (d / "phase.json").stat().st_mtime_ns for d in dirs} == before
+
     def test_report_needs_a_target(self, capsys):
         assert cli_main(["report"]) == 1
 

@@ -110,6 +110,21 @@ class TestPrune:
                 assert removed == int(np.floor(t * before[n]))
 
 
+class TestMaskValidation:
+    @pytest.mark.parametrize("bad", [np.nan, 0.5, -1.0, 2.0, np.inf, -np.inf, 1e-300])
+    def test_non_binary_value_rejected(self, bad):
+        arr = np.ones((3, 4))
+        arr[2, 1] = bad
+        with pytest.raises(ValueError, match=r"mask 'fc1.weight' must contain only 0.0 and 1.0"):
+            Mask({"fc1.weight": arr})
+
+    def test_zeros_ones_and_negative_zero_accepted(self):
+        arr = np.array([[0.0, 1.0, -0.0], [1.0, 1.0, 0.0]])
+        mask = Mask({"fc1.weight": arr})
+        assert mask.surviving() == 3
+        assert Mask({"fc1.weight": np.zeros((0, 4))}).total() == 0
+
+
 class TestSparsity:
     def test_full_mask_zero(self):
         params = init_params(MlpArchitecture([5, 4, 2]), seed=0)

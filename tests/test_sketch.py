@@ -268,6 +268,26 @@ class TestResume:
         resume(tmp_path / "r")
         assert files() == before
 
+    def test_resume_of_finished_run_does_no_set_up(self, tmp_path, monkeypatch):
+        first = run_sketch(tiny_config(), tmp_path / "r")
+        calls = []
+
+        def counting(name):
+            real = getattr(sketch_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("load_dataset", "load_params", "load_tensors"):
+            monkeypatch.setattr(sketch_mod, name, counting(name))
+        again = resume(tmp_path / "r")
+        assert calls == []
+        assert again.rounds == first.rounds
+        assert again.phase_annotation == first.phase_annotation
+
     def test_resume_keeps_phase_report_written_by_report(self, tmp_path):
         run_sketch(tiny_config(), tmp_path / "r")
         assert cli_main(["report", "--run", str(tmp_path / "r"), "--delta", "5"]) == 0
