@@ -222,10 +222,16 @@ def _layer_names(params: ParamSet) -> list[tuple[str, str]]:
     return pairs
 
 
-def effective_weights(params: ParamSet, mask: "Mask | None") -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (weight, bias) with the mask absorbed into the weights."""
+def effective_weights(
+    params: ParamSet, mask: "Mask | None", pairs: list[tuple[str, str]] | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weight, bias) with the mask absorbed into the weights.
+
+    ``pairs`` is ``_layer_names(params)``, passed by callers that loop over
+    one ParamSet so the names are worked out once.
+    """
     out = []
-    for wname, bname in _layer_names(params):
+    for wname, bname in _layer_names(params) if pairs is None else pairs:
         w = params[wname]
         if mask is not None and wname in mask:
             w = w * mask[wname]
@@ -234,18 +240,21 @@ def effective_weights(params: ParamSet, mask: "Mask | None") -> list[tuple[np.nd
 
 
 def forward_trace(
-    params: ParamSet, mask: "Mask | None", batch: np.ndarray
+    params: ParamSet,
+    mask: "Mask | None",
+    batch: np.ndarray,
+    pairs: list[tuple[str, str]] | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Forward pass keeping intermediates.
 
     Returns (logits, pre_activations, activations) where activations[0] is
     the input batch and activations[l] is the post-ReLU output of layer l
-    (the logits for the final layer).
+    (the logits for the final layer).  ``pairs`` is as in ``effective_weights``.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise ValueError(f"batch must be 2-D [B, D], got shape {batch.shape}")
-    layers = effective_weights(params, mask)
+    layers = effective_weights(params, mask, pairs)
     pre: list[np.ndarray] = []
     acts: list[np.ndarray] = [batch]
     h = batch
@@ -295,14 +304,16 @@ def _loss_grad_logits(
     mask: "Mask | None",
     batch: np.ndarray,
     labels: np.ndarray,
+    pairs: list[tuple[str, str]] | None = None,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    if pairs is None:
+        pairs = _layer_names(params)
     labels = np.asarray(labels, dtype=np.int64)
-    logits, pre, acts = forward_trace(params, mask, batch)
+    logits, pre, acts = forward_trace(params, mask, batch, pairs)
     loss, delta = _softmax_ce(logits, labels)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss}")
 
-    pairs = _layer_names(params)
     grads: dict[str, np.ndarray] = {}
     for idx in range(len(pairs) - 1, -1, -1):
         wname, bname = pairs[idx]
@@ -473,10 +484,11 @@ def evaluate(
         raise ValueError("cannot evaluate on an empty dataset")
     total_loss = 0.0
     correct = 0
+    pairs = _layer_names(params)
     for start in range(0, n, chunk_size):
         feats = dataset.features[start : start + chunk_size]
         labels = dataset.labels[start : start + chunk_size]
-        logits, _, _ = forward_trace(params, mask, feats)
+        logits, _, _ = forward_trace(params, mask, feats, pairs)
         loss, _ = _softmax_ce(logits, labels)
         total_loss += loss * feats.shape[0]
         correct += int(np.sum(np.argmax(logits, axis=1) == labels))
@@ -523,6 +535,7 @@ def train(
             params[name] *= mask[name]
             state.velocity[name] *= mask[name]
     plan = StepPlan(mask)
+    pairs = _layer_names(params)
     for epoch in range(cfg.epochs):
         rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "shuffle", epoch)))
         order = rng.permutation(n)
@@ -532,7 +545,7 @@ def train(
             idx = order[start : start + cfg.batch_size]
             batch = features[idx]
             batch_labels = labels[idx]
-            loss, grads, logits = _loss_grad_logits(params, None, batch, batch_labels)
+            loss, grads, logits = _loss_grad_logits(params, None, batch, batch_labels, pairs)
             sgd_step(params, grads, state, mask, cfg, epoch, plan)
             loss_sum += loss * idx.shape[0]
             correct += int(np.sum(np.argmax(logits, axis=1) == batch_labels))

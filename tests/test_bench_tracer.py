@@ -47,6 +47,11 @@ def test_layer_spans_count_rounds_probes_and_checkpoint_reads(tmp_path):
     assert metrics["sketch.rounds"] > 0
     assert metrics["probes.calls"] > 0
     assert metrics["checkpoint.bytes_read"] > 0
+    # every checkpoint save goes through the wrapped sketch.save_params/save_tensors
+    saved = [run_dir / "init.bin"] + [
+        d / name for d in run_dir.glob("round_*") for name in ("params.bin", "mask.bin")
+    ]
+    assert metrics["checkpoint.bytes_written"] == sum(p.stat().st_size for p in saved)
     # train must keep calling nn.sgd_step once per step, or the step metrics go blank
     n_train = sketch.load_dataset(cfg.dataset)[0].size
     steps_per_round = cfg.train.epochs * math.ceil(n_train / cfg.train.batch_size)

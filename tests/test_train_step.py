@@ -124,6 +124,20 @@ def test_plan_splits_tensors_at_the_crossover():
     assert set(plan.masks) == {"fc3.weight"}
 
 
+def test_layer_names_worked_out_once_per_call(monkeypatch):
+    calls = []
+    real = nn._layer_names
+    monkeypatch.setattr(nn, "_layer_names", lambda params: calls.append(1) or real(params))
+    ds = synth_blobs(n_per_class=25, num_classes=4, dim=24, separation=2.0, seed=3)
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=8)
+    params = init_params(ARCH, 0)
+    mask = random_mask(params, 0.5, np.random.default_rng(5))
+    train(params, mask, OptimizerState(params), ds, cfg)
+    assert len(calls) == 1
+    nn.evaluate(params, mask, ds, chunk_size=7)
+    assert len(calls) == 2
+
+
 # metrics.csv of this config, recorded from the masked-loop implementation
 GOLDEN_METRICS_CSV_SHA256 = "d5f1c332c2f097c32b6dc58a0835680caee7ff0d59a6c475650c4496634e0463"
 
