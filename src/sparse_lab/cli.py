@@ -58,6 +58,13 @@ SKETCH_OPTIONS: dict[str, tuple] = {
     "out": (str, None, "output directory for checkpoints and metrics"),
 }
 
+# the dataset options each --dataset kind reads; giving any other one is an error
+DATASET_OPTIONS: dict[str, set[str]] = {
+    "blobs": {"n-per-class", "num-classes", "dim", "separation", "train-fraction", "data-seed"},
+    "idx": {"train-images", "train-labels", "test-images", "test-labels", "limit"},
+    "mnist": {"data-dir", "limit"},
+}
+
 SWEEP_EXTRA: dict[str, tuple] = {
     "lambdas": (_float_list, None, "comma-separated L2 coefficients"),
     "epsilons": (_float_list, None, "comma-separated label-noise fractions"),
@@ -81,8 +88,11 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_options(args: argparse.Namespace, table: dict[str, tuple]) -> dict:
-    """file defaults <- config file <- explicit CLI flags."""
+def _merge_options(args: argparse.Namespace, table: dict[str, tuple]) -> tuple[dict, set[str]]:
+    """file defaults <- config file <- explicit CLI flags.
+
+    Returns the merged options and the keys set by a flag or the config file.
+    """
     file_values: dict[str, str] = {}
     if getattr(args, "config", None):
         file_values = _load_config_file(args.config)
@@ -91,11 +101,13 @@ def _merge_options(args: argparse.Namespace, table: dict[str, tuple]) -> dict:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     merged: dict = {}
+    given = set(file_values)
     for key, (conv, default, _help) in table.items():
         attr = key.replace("-", "_")
         cli_value = getattr(args, attr, None)
         if cli_value is not None:
             merged[key] = cli_value
+            given.add(key)
         elif key in file_values:
             try:
                 merged[key] = conv(file_values[key])
@@ -103,7 +115,7 @@ def _merge_options(args: argparse.Namespace, table: dict[str, tuple]) -> dict:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
         else:
             merged[key] = default
-    return merged
+    return merged, given
 
 
 def _add_table_options(parser: argparse.ArgumentParser, table: dict[str, tuple]) -> None:
@@ -112,12 +124,18 @@ def _add_table_options(parser: argparse.ArgumentParser, table: dict[str, tuple])
         parser.add_argument(f"--{key}", type=conv, default=None, help=help_text, dest=key.replace("-", "_"))
 
 
-def _build_sketch_config(opts: dict):
+def _build_sketch_config(opts: dict, given: set[str]):
     from .nn import MlpArchitecture, TrainConfig
     from .pruning import PruneScope
     from .rundir import DatasetSpec, SketchConfig
 
     kind = opts["dataset"]
+    if kind not in DATASET_OPTIONS:
+        raise ConfigError(f"unknown dataset kind {kind!r} (expected mnist, idx, or blobs)")
+    ignored = (set().union(*DATASET_OPTIONS.values()) - DATASET_OPTIONS[kind]) & given
+    if ignored:
+        flags = ", ".join(f"--{k}" for k in sorted(ignored))
+        raise ConfigError(f"dataset={kind} does not read {flags}")
     limit = opts["limit"] or None
     if kind == "mnist":
         d = Path(opts["data-dir"])
@@ -143,7 +161,7 @@ def _build_sketch_config(opts: dict):
             limit=limit,
         )
         default_arch = [784, 300, 100, 10]
-    elif kind == "blobs":
+    else:
         spec = DatasetSpec(
             kind="blobs",
             n_per_class=opts["n-per-class"],
@@ -154,8 +172,6 @@ def _build_sketch_config(opts: dict):
             data_seed=opts["data-seed"],
         )
         default_arch = [opts["dim"], 64, 32, opts["num-classes"]]
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r} (expected mnist, idx, or blobs)")
 
     arch_sizes = opts["arch"] if opts["arch"] is not None else default_arch
     try:
@@ -191,10 +207,10 @@ def _build_sketch_config(opts: dict):
 def _cmd_sketch(args: argparse.Namespace) -> int:
     from .sketch import run_sketch
 
-    opts = _merge_options(args, SKETCH_OPTIONS)
+    opts, given = _merge_options(args, SKETCH_OPTIONS)
     if not opts["out"]:
         raise ConfigError("--out is required")
-    cfg = _build_sketch_config(opts)
+    cfg = _build_sketch_config(opts, given)
     run = run_sketch(cfg, opts["out"], on_round=_print_round)
     _print_run_summary(run, opts["out"])
     return 0
@@ -204,13 +220,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sketch import sweep
 
     table = {**SKETCH_OPTIONS, **SWEEP_EXTRA}
-    opts = _merge_options(args, table)
+    opts, given = _merge_options(args, table)
     if not opts["out"]:
         raise ConfigError("--out is required")
     for key in ("lambdas", "epsilons", "seeds"):
         if not opts[key]:
             raise ConfigError(f"--{key} must list at least one value")
-    base_cfg = _build_sketch_config(opts)
+    base_cfg = _build_sketch_config(opts, given)
     try:
         runs = sweep(base_cfg, opts["lambdas"], opts["epsilons"], opts["seeds"], opts["out"])
     except ValueError as exc:

@@ -240,21 +240,25 @@ def effective_weights(
 
 
 def forward_trace(
-    params: ParamSet,
-    mask: "Mask | None",
-    batch: np.ndarray,
-    pairs: list[tuple[str, str]] | None = None,
+    params: ParamSet, mask: "Mask | None", batch: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Forward pass keeping intermediates.
 
     Returns (logits, pre_activations, activations) where activations[0] is
     the input batch and activations[l] is the post-ReLU output of layer l
-    (the logits for the final layer).  ``pairs`` is as in ``effective_weights``.
+    (the logits for the final layer).  The masked weights are built once, by
+    ``effective_weights``, before the layers run.
     """
+    return _forward_layers(effective_weights(params, mask), batch)
+
+
+def _forward_layers(
+    layers: list[tuple[np.ndarray, np.ndarray]], batch: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """``forward_trace`` on the (weight, bias) list of ``effective_weights``."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise ValueError(f"batch must be 2-D [B, D], got shape {batch.shape}")
-    layers = effective_weights(params, mask, pairs)
     pre: list[np.ndarray] = []
     acts: list[np.ndarray] = [batch]
     h = batch
@@ -309,7 +313,8 @@ def _loss_grad_logits(
     if pairs is None:
         pairs = _layer_names(params)
     labels = np.asarray(labels, dtype=np.int64)
-    logits, pre, acts = forward_trace(params, mask, batch, pairs)
+    layers = effective_weights(params, mask, pairs)
+    logits, pre, acts = _forward_layers(layers, batch)
     loss, delta = _softmax_ce(logits, labels)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss}")
@@ -323,10 +328,7 @@ def _loss_grad_logits(
         grads[wname] = gw
         grads[bname] = delta.sum(axis=0)
         if idx > 0:
-            w = params[wname]
-            if mask is not None and wname in mask:
-                w = w * mask[wname]
-            delta = (delta @ w) * (pre[idx - 1] > 0.0)
+            delta = (delta @ layers[idx][0]) * (pre[idx - 1] > 0.0)
     # restore parameter order
     ordered = {n: grads[n] for n in params.names()}
     return loss, ordered, logits
@@ -477,18 +479,19 @@ def evaluate(
     """Mean cross-entropy and argmax accuracy over a dataset, deterministically.
 
     Argmax ties resolve to the lowest class index.  No shuffling; samples are
-    visited in storage order in fixed-size chunks.
+    visited in storage order in fixed-size chunks.  The masked weights are
+    built once per call and shared by every chunk.
     """
     n = dataset.features.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     total_loss = 0.0
     correct = 0
-    pairs = _layer_names(params)
+    layers = effective_weights(params, mask)
     for start in range(0, n, chunk_size):
         feats = dataset.features[start : start + chunk_size]
         labels = dataset.labels[start : start + chunk_size]
-        logits, _, _ = forward_trace(params, mask, feats, pairs)
+        logits, _, _ = _forward_layers(layers, feats)
         loss, _ = _softmax_ce(logits, labels)
         total_loss += loss * feats.shape[0]
         correct += int(np.sum(np.argmax(logits, axis=1) == labels))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from sparse_lab import (
     LabeledDataset,
     MlpArchitecture,
     ParamSet,
+    PruneScope,
     init_params,
     loss_and_grad,
 )
@@ -44,6 +47,34 @@ def gradient_mismatch(analytic, numeric, names):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-3)
         worst = max(worst, float((np.abs(a - f) / denom).max()))
     return worst
+
+
+def brute_force_kept(weights, masks, t_iter, scope):
+    """Independent prune oracle: the flat indices each layer keeps.
+
+    Sorts the surviving (|value|, layer, flat index) entries and drops the
+    first floor(t_iter * n) of them, over all layers (global scope) or
+    within each layer (layerwise), so ties go to the lowest layer and index.
+    """
+    entries = []
+    for layer, (w, m) in enumerate(zip(weights, masks)):
+        fw, fm = w.reshape(-1), m.reshape(-1)
+        entries.extend(
+            (abs(float(fw[i])), layer, i) for i in range(fw.size) if fm[i] == 1.0
+        )
+    doomed = set()
+    if scope is PruneScope.GLOBAL:
+        for _, layer, i in sorted(entries)[: int(math.floor(t_iter * len(entries)))]:
+            doomed.add((layer, i))
+    else:
+        for layer in range(len(weights)):
+            mine = sorted(e for e in entries if e[1] == layer)
+            for _, _, i in mine[: int(math.floor(t_iter * len(mine)))]:
+                doomed.add((layer, i))
+    return [
+        {i for (_, l, i) in entries if l == layer and (layer, i) not in doomed}
+        for layer in range(len(weights))
+    ]
 
 
 def make_params(weight_rows, bias=None):

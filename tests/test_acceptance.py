@@ -2,10 +2,10 @@
 
 Each test prints one PASS/FAIL line (run with ``pytest tests/test_acceptance.py
 -v -s`` to see them as they complete).  Criteria 6 and 7 train the
-double-descent pair on MNIST when the IDX files are available (set
-SPARSE_LAB_MNIST_DIR or place them under ./data/mnist); in environments
-without the files they run on the scikit-learn digits corpus (real
-handwritten digits, bundled offline) at an equivalent optimization budget.
+double-descent pair through ``sweep`` on the four MNIST IDX files, found in
+$SPARSE_LAB_MNIST_DIR or ./data/mnist.  With neither configured they skip,
+naming the files; a configured directory that lacks one fails, naming it.
+The gradient and prune oracles are shared with the other tests (conftest.py).
 """
 
 from __future__ import annotations
@@ -22,18 +22,14 @@ import sparse_lab.sketch as sketch_mod
 from sparse_lab import (
     DatasetSpec,
     InitSnapshot,
-    LabeledDataset,
     Mask,
     MlpArchitecture,
     OptimizerState,
     ParamSet,
     PruneScope,
-    RoundMetrics,
     SketchConfig,
-    SketchRun,
     TrainConfig,
     detect_phases,
-    evaluate,
     excess_logits,
     excess_output,
     forward,
@@ -47,13 +43,13 @@ from sparse_lab import (
     rewind,
     run_sketch,
     sgd_step,
-    sparsity,
-    split,
     sweep,
     synth_blobs,
     train,
 )
 from sparse_lab.nn import forward_trace
+
+from conftest import brute_force_kept, finite_difference_grads, gradient_mismatch
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -64,24 +60,6 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 # --------------------------------------------------------------------------
 # criterion 1: gradient correctness
 # --------------------------------------------------------------------------
-
-def fd_grads(params, batch, labels, h=1e-5):
-    """Independent central-difference oracle over the scalar loss."""
-    out = {}
-    for name in params.names():
-        flat = params[name].reshape(-1)
-        g = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp, _ = loss_and_grad(params, None, batch, labels)
-            flat[i] = orig - h
-            lm, _ = loss_and_grad(params, None, batch, labels)
-            flat[i] = orig
-            g[i] = (lp - lm) / (2 * h)
-        out[name] = g.reshape(params[name].shape)
-    return out
-
 
 def random_small_net(seed):
     """Seeded net of <= 100 params whose pre-activations avoid ReLU kinks
@@ -110,11 +88,8 @@ def test_criterion_1_gradient_correctness():
         params, batch, labels = random_small_net(trial + 1)
         assert params.total_count() <= 100
         _, analytic = loss_and_grad(params, None, batch, labels)
-        numeric = fd_grads(params, batch, labels)
-        for name in params.names():
-            a, f = analytic[name], numeric[name]
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-3)
-            worst = max(worst, float((np.abs(a - f) / denom).max()))
+        numeric = finite_difference_grads(params, batch, labels)
+        worst = max(worst, gradient_mismatch(analytic, numeric, params.names()))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-6 and elapsed < 10.0
     report(1, ok, f"20 nets, max relative error {worst:.3e} (< 1e-6), {elapsed:.2f}s (< 10s)")
@@ -123,29 +98,6 @@ def test_criterion_1_gradient_correctness():
 # --------------------------------------------------------------------------
 # criterion 2: prune oracle equivalence
 # --------------------------------------------------------------------------
-
-def brute_force_kept(weights, masks, t_iter, scope):
-    """Keep-top-(1-t) by |value| with (layer order, flat index) tie-break."""
-    entries = []
-    for layer, (w, m) in enumerate(zip(weights, masks)):
-        fw, fm = w.reshape(-1), m.reshape(-1)
-        entries.extend(
-            (abs(float(fw[i])), layer, i) for i in range(fw.size) if fm[i] == 1.0
-        )
-    doomed = set()
-    if scope is PruneScope.GLOBAL:
-        for _, layer, i in sorted(entries)[: int(math.floor(t_iter * len(entries)))]:
-            doomed.add((layer, i))
-    else:
-        for layer in range(len(weights)):
-            mine = sorted(e for e in entries if e[1] == layer)
-            for _, _, i in mine[: int(math.floor(t_iter * len(mine)))]:
-                doomed.add((layer, i))
-    return [
-        {i for (_, l, i) in entries if l == layer and (layer, i) not in doomed}
-        for layer in range(len(weights))
-    ]
-
 
 def test_criterion_2_prune_oracle_equivalence():
     rng = np.random.default_rng(20240814)
@@ -337,129 +289,78 @@ MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
 
 
-def find_mnist_dir():
-    candidates = [os.environ.get("SPARSE_LAB_MNIST_DIR"), "data/mnist"]
-    for cand in candidates:
-        if cand and all((Path(cand) / f).exists() for f in MNIST_FILES):
-            return Path(cand)
-    return None
+def mnist_dir():
+    """The configured MNIST directory, or None when none is configured.
 
-
-def build_digits_corpus():
-    """Offline fallback: the sklearn digits corpus standardized and augmented
-    to a 10,000-sample train set (noisy replicas of 1,297 held-in sources;
-    500 pristine held-out test images), matching the MNIST recipe's
-    per-round optimization budget of ~2,370 SGD steps."""
-    sklearn_datasets = pytest.importorskip("sklearn.datasets")
-    digits = sklearn_datasets.load_digits()
-    feats = digits.data / 16.0
-    feats = (feats - feats.mean()) / feats.std()
-    base = LabeledDataset(features=feats, labels=digits.target.astype(np.int64),
-                          num_classes=10, name="digits")
-    train_small, test_set = split(base, 1297 / 1797, seed=101)
-    rng = np.random.default_rng(424242)
-    idx = np.arange(10_000) % train_small.size
-    jitter = rng.normal(0.0, 0.15, size=(10_000, train_small.dim))
-    jitter[: train_small.size] = 0.0
-    train_clean = LabeledDataset(features=train_small.features[idx] + jitter,
-                                 labels=train_small.labels[idx],
-                                 num_classes=10, name="digits10k")
-    return train_clean, test_set
-
-
-def descent_recipe(input_dim, weight_decay, seed=7):
-    return MlpArchitecture([input_dim, 300, 100, 10]), TrainConfig(
-        epochs=30, lr=0.1, momentum=0.9, batch_size=128,
-        weight_decay=weight_decay, seed=seed,
+    SPARSE_LAB_MNIST_DIR configures it when set, else ./data/mnist when it
+    exists.  A configured directory must hold all four IDX files.
+    """
+    d = os.environ.get("SPARSE_LAB_MNIST_DIR") or (
+        "data/mnist" if Path("data/mnist").is_dir() else None
     )
+    if d is None:
+        return None
+    missing = [f for f in MNIST_FILES if not (Path(d) / f).is_file()]
+    if missing:
+        pytest.fail(f"MNIST directory {d} lacks {', '.join(missing)}")
+    return Path(d)
 
 
-def sketch_in_memory(train_noisy, test_set, arch, cfg, probe_batch):
-    """One full prune/rewind/retrain sweep using the public ops directly,
-    returning (SketchRun, per-round masked-out |w| series)."""
-    params = init_params(arch, cfg.seed)
-    snapshot = InitSnapshot.capture(params, arch, cfg.seed)
-    mask = Mask.full(params)
-    state = OptimizerState(params)
-    # descriptive config for the assembled run (data already materialized)
-    run = SketchRun(config=SketchConfig(
-        run_id=f"dd-lam{cfg.weight_decay:g}-s{cfg.seed}",
-        arch=arch, train=cfg,
-        dataset=DatasetSpec(kind="blobs", dim=arch.input_dim, num_classes=10),
-        t_iter=0.2, t_end=0.999, epsilon=0.5, noise_seed=303,
-    ))
-    l1_series = []
-    k = 0
-    while True:
-        started = time.perf_counter()
-        if k > 0:
-            new_mask = prune(params, mask, 0.2, PruneScope.LAYERWISE)
-            l1_series.append(excess_output(params, new_mask, probe_batch).weight_l1_masked_out)
-            mask = new_mask
-            rewind(params, snapshot, mask, state)
-        train(params, mask, state, train_noisy, cfg)
-        train_loss, train_acc = evaluate(params, mask, train_noisy)
-        test_loss, test_acc = evaluate(params, mask, test_set)
-        run.rounds.append(RoundMetrics(
-            round=k, sparsity=sparsity(mask),
-            final_train_loss=train_loss, final_train_acc=train_acc,
-            test_loss=test_loss, test_acc=test_acc,
-            wall_seconds=time.perf_counter() - started,
-        ))
-        if sparsity(mask) >= 0.999:
-            break
-        k += 1
-    return run, l1_series
+def test_a_configured_mnist_dir_must_hold_every_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SPARSE_LAB_MNIST_DIR", raising=False)
+    assert mnist_dir() is None
+    for name in MNIST_FILES[:3]:
+        (tmp_path / name).write_bytes(b"")
+    monkeypatch.setenv("SPARSE_LAB_MNIST_DIR", str(tmp_path))
+    with pytest.raises(pytest.fail.Exception, match=MNIST_FILES[3]):
+        mnist_dir()
+    (tmp_path / MNIST_FILES[3]).write_bytes(b"")
+    assert mnist_dir() == tmp_path
 
 
 @pytest.fixture(scope="module")
 def descent_pair(tmp_path_factory):
     """The criterion-6 run and its L2-regularized twin, with probe series.
 
-    Uses the stated MNIST recipe when IDX files are available; otherwise the
-    augmented-digits corpus at the same optimization budget.
+    One ``sweep`` trains both on the MNIST recipe: 10,000 training images at
+    label noise 0.5, LeNet-300-100, 30 epochs per round, 20% layerwise
+    pruning to 99.9% sparsity, lambda in {0, 1e-4}.  ``probe_along_run``
+    then probes each run on 256 fixed test images.
     """
+    d = mnist_dir()
+    if d is None:
+        pytest.skip(f"criteria 6 and 7 need the MNIST IDX files {', '.join(MNIST_FILES)} "
+                    "in $SPARSE_LAB_MNIST_DIR or ./data/mnist")
     started = time.perf_counter()
-    mnist = find_mnist_dir()
+    spec = DatasetSpec(
+        kind="idx",
+        train_images=str(d / MNIST_FILES[0]),
+        train_labels=str(d / MNIST_FILES[1]),
+        test_images=str(d / MNIST_FILES[2]),
+        test_labels=str(d / MNIST_FILES[3]),
+        limit=10_000,
+    )
+    base = SketchConfig(
+        run_id="dd",
+        arch=MlpArchitecture([784, 300, 100, 10]),
+        train=TrainConfig(epochs=30, lr=0.1, momentum=0.9, batch_size=128),
+        dataset=spec,
+        t_iter=0.2,
+        t_end=0.999,
+        noise_seed=303,
+    )
+    lambdas = [0.0, 1e-4]
+    out_root = tmp_path_factory.mktemp("mnist-dd")
+    runs = sweep(base, lambdas, epsilons=[0.5], seeds=[7], out_root=out_root)
+    test_set = load_idx(spec.test_images, spec.test_labels)
+    prng = np.random.default_rng(1234)
+    batch = test_set.features[np.sort(prng.choice(test_set.size, size=256, replace=False))]
     pair = {}
-    if mnist is not None:
-        source = "mnist-10k"
-        out_root = tmp_path_factory.mktemp("mnist-dd")
-        spec = DatasetSpec(
-            kind="idx",
-            train_images=str(mnist / MNIST_FILES[0]),
-            train_labels=str(mnist / MNIST_FILES[1]),
-            test_images=str(mnist / MNIST_FILES[2]),
-            test_labels=str(mnist / MNIST_FILES[3]),
-            limit=10_000,
-        )
-        test_set = load_idx(spec.test_images, spec.test_labels)
-        prng = np.random.default_rng(1234)
-        batch = test_set.features[
-            np.sort(prng.choice(test_set.size, size=256, replace=False))
-        ]
-        for lam in (0.0, 1e-4):
-            arch, tcfg = descent_recipe(784, lam)
-            cfg = SketchConfig(
-                run_id=f"dd-lam{lam:g}", arch=arch, train=tcfg, dataset=spec,
-                t_iter=0.2, t_end=0.999, epsilon=0.5, noise_seed=303,
-            )
-            run_dir = out_root / cfg.run_id
-            run = run_sketch(cfg, run_dir)
-            probes = probe_along_run(run_dir, batch)
-            pair[lam] = (run, [p.weight_l1_masked_out for p in probes])
-    else:
-        source = "digits-10k"
-        train_clean, test_set = build_digits_corpus()
-        train_noisy, _ = inject_symmetric_noise(train_clean, 0.5, seed=303)
-        prng = np.random.default_rng(1234)
-        batch = test_set.features[
-            np.sort(prng.choice(test_set.size, size=32, replace=False))
-        ]
-        for lam in (0.0, 1e-4):
-            arch, tcfg = descent_recipe(64, lam)
-            pair[lam] = sketch_in_memory(train_noisy, test_set, arch, tcfg, batch)
-    return {"pair": pair, "source": source, "seconds": time.perf_counter() - started}
+    for lam, run in zip(lambdas, runs):
+        probes = probe_along_run(out_root / run.config.run_id, batch)
+        pair[lam] = (run, [p.weight_l1_masked_out for p in probes])
+    return {"pair": pair, "seconds": time.perf_counter() - started}
 
 
 def dip_depth_points(run, delta=2.0):
@@ -483,7 +384,7 @@ def test_criterion_6_desk_scale_double_descent(descent_pair):
         and hours < 4.0
     )
     report(6, ok, (
-        f"[{descent_pair['source']}] lambda=0: detected={rep.detected}, "
+        f"lambda=0: detected={rep.detected}, "
         f"dip {depth:.1f} pts at sparsity {rep.dip_sparsity:.3f}, recovery at "
         f"{rep.recovery_sparsity:.3f}, collapse at {rep.collapse_sparsity:.3f}; "
         f"pair trained in {hours:.2f} h (< 4 h)"
@@ -501,7 +402,7 @@ def test_criterion_7_regularization_effect(descent_pair):
     ok = frac >= 0.75 and dip_ok
     dip_msg = "no dip" if not rep1.detected else f"dip {depth1:.1f} vs {depth0:.1f} pts"
     report(7, ok, (
-        f"[{descent_pair['source']}] masked-out |w|: lambda run <= vanilla on "
+        f"masked-out |w|: lambda run <= vanilla on "
         f"{frac:.0%} of rounds (>= 75%); regularized curve: {dip_msg}"
     ))
 

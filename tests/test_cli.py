@@ -7,20 +7,19 @@ from sparse_lab import cli_main, save_idx
 from sparse_lab.reporting import parse_metrics_csv
 
 
-def sketch_args(out, **overrides):
-    base = {
-        "dataset": "blobs",
-        "dim": "8",
-        "num-classes": "4",
-        "n-per-class": "30",
-        "separation": "3",
+def sketch_args(out, dataset="blobs", **overrides):
+    """sketch argv; the blobs shape flags only when the dataset is blobs."""
+    base = {"dataset": dataset}
+    if dataset == "blobs":
+        base.update({"dim": "8", "num-classes": "4", "n-per-class": "30", "separation": "3"})
+    base.update({
         "epochs": "1",
         "t-iter": "0.3",
         "t-end": "0.8",
         "seed": "3",
         "run-id": "cli-test",
         "out": str(out),
-    }
+    })
     base.update(overrides)
     args = ["sketch"]
     for key, value in base.items():
@@ -54,6 +53,17 @@ class TestSketchCommand:
         sweep = ["sweep"] + sketch_args(tmp_path / "g", delta="2")[1:]
         assert cli_main(sweep + ["--lambdas", "0", "--epsilons", "0", "--seeds", "1"]) == 1
         assert "--delta" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists() and not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("dataset,flag", [
+        ("idx", "dim"), ("mnist", "separation"), ("mnist", "train-images"),
+        ("blobs", "limit"), ("blobs", "data-dir"),
+    ])
+    def test_flag_the_dataset_never_reads_is_config_error(self, tmp_path, capsys, dataset, flag):
+        assert cli_main(sketch_args(tmp_path / "x", dataset=dataset, **{flag: "5"})) == 1
+        sweep = ["sweep"] + sketch_args(tmp_path / "g", dataset=dataset, **{flag: "5"})[1:]
+        assert cli_main(sweep + ["--lambdas", "0", "--epsilons", "0", "--seeds", "1"]) == 1
+        assert capsys.readouterr().err.count(f"does not read --{flag}") == 2
         assert not (tmp_path / "x").exists() and not (tmp_path / "g").exists()
 
     def test_missing_out_is_config_error(self, capsys):
@@ -114,6 +124,13 @@ class TestConfigFile:
         cfg_file.write_text("no-such-key = 5\n")
         assert cli_main(["sketch", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
         assert "no-such-key" in capsys.readouterr().err
+
+    def test_config_key_the_dataset_never_reads_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "idx.cfg"
+        cfg_file.write_text("dataset = idx\nn-per-class = 30\n")
+        assert cli_main(["sketch", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+        assert "does not read --n-per-class" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_config_line_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"

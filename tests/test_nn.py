@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sparse_lab.nn as nn
 from sparse_lab import (
     LabeledDataset,
     Mask,
@@ -103,6 +104,13 @@ class TestForward:
             np.testing.assert_array_equal(
                 forward(params, mask, batch), forward(premultiplied, None, batch)
             )
+            # the masked backward pass is the premultiplied one, gradients masked
+            labels = np.arange(4) % 2
+            _, masked = loss_and_grad(params, mask, batch, labels)
+            _, plain = loss_and_grad(premultiplied, None, batch, labels)
+            for n in params.names():
+                expected = plain[n] * mask[n] if n in mask else plain[n]
+                np.testing.assert_array_equal(masked[n], expected)
 
 
 class TestLossAndGrad:
@@ -260,6 +268,16 @@ class TestEvaluate:
         chunked = evaluate(params, None, ds, chunk_size=7)
         assert full[1] == chunked[1]
         assert abs(full[0] - chunked[0]) < 1e-12
+
+    def test_masks_once_per_call(self, monkeypatch):
+        calls = []
+        real = nn.effective_weights
+        monkeypatch.setattr(nn, "effective_weights", lambda *a: calls.append(1) or real(*a))
+        ds = synth_blobs(n_per_class=35, num_classes=2, dim=3, separation=1.0, seed=4)
+        params = init_params(MlpArchitecture([3, 4, 2]), seed=2)
+        mask = Mask({n: np.ones_like(params[n]) for n in params.prunable_names()})
+        evaluate(params, mask, ds, chunk_size=7)  # 70 samples: 10 chunks
+        assert len(calls) == 1
 
     def test_empty_dataset_unconstructable(self):
         with pytest.raises(ValueError):

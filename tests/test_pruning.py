@@ -18,7 +18,7 @@ from sparse_lab import (
     sparsity,
 )
 
-from conftest import make_params
+from conftest import brute_force_kept, make_params
 
 
 def single_layer(values):
@@ -220,31 +220,6 @@ class TestRewind:
 class TestOracleEquivalence:
     """prune against a brute-force (|value|, layer, index) sort, small tensors."""
 
-    @staticmethod
-    def brute_force_kept(weights, masks, t_iter, scope):
-        entries = []
-        for layer, (w, m) in enumerate(zip(weights, masks)):
-            flat_w, flat_m = w.reshape(-1), m.reshape(-1)
-            entries.extend(
-                (abs(float(flat_w[i])), layer, i)
-                for i in range(flat_w.size)
-                if flat_m[i] == 1.0
-            )
-        if scope is PruneScope.GLOBAL:
-            doomed = set()
-            for mag, layer, i in sorted(entries)[: int(np.floor(t_iter * len(entries)))]:
-                doomed.add((layer, i))
-        else:
-            doomed = set()
-            for layer in range(len(weights)):
-                mine = sorted(e for e in entries if e[1] == layer)
-                for mag, _, i in mine[: int(np.floor(t_iter * len(mine)))]:
-                    doomed.add((layer, i))
-        return [
-            {i for (_, l, i) in entries if l == layer and (layer, i) not in doomed}
-            for layer in range(len(weights))
-        ]
-
     @pytest.mark.parametrize("scope", [PruneScope.LAYERWISE, PruneScope.GLOBAL])
     def test_random_small_tensors(self, scope):
         rng = np.random.default_rng(99)
@@ -264,7 +239,7 @@ class TestOracleEquivalence:
             mask = Mask({f"fc{i+1}.weight": masks[i] for i in range(n_layers)})
             t_iter = float(rng.uniform(0.05, 0.95))
             result = prune(params, mask, t_iter, scope)
-            expected = self.brute_force_kept(weights, masks, t_iter, scope)
+            expected = brute_force_kept(weights, masks, t_iter, scope)
             for i in range(n_layers):
                 got = set(np.flatnonzero(result[f"fc{i+1}.weight"].reshape(-1) == 1.0))
                 assert got == expected[i], f"scope={scope} layer={i} t={t_iter}"
