@@ -40,7 +40,6 @@ from .data import (  # noqa: E402
     synth_blobs,
 )
 from .pruning import (  # noqa: E402
-    InitSnapshot,
     Mask,
     PruneScope,
     prune,
@@ -73,7 +72,7 @@ __all__ = [
     "effective_lr", "evaluate", "forward", "init_params", "loss_and_grad", "sgd_step", "train",
     "LabeledDataset", "NoiseRecord", "export_idx", "inject_symmetric_noise", "load_idx",
     "revert_noise", "save_idx", "split", "synth_blobs",
-    "InitSnapshot", "Mask", "PruneScope", "prune", "rewind", "sparsity",
+    "Mask", "PruneScope", "prune", "rewind", "sparsity",
     "DatasetSpec", "PhaseReport", "RoundMetrics", "SketchConfig", "SketchRun",
     "detect_phases", "load_dataset", "resume", "run_sketch", "sweep",
     "ProbeResult", "amplification_check", "excess_logits", "excess_output", "probe_along_run",

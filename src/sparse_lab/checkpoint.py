@@ -161,8 +161,7 @@ def save_params(path: str | Path, params: ParamSet) -> None:
 
 
 def load_params(path: str | Path) -> ParamSet:
-    """Rebuild a ParamSet; prunability is recovered from the name suffix
-    (the record format carries names, shapes, and payloads only).
+    """Rebuild a ParamSet from its names, shapes and values.
 
     Every nonzero, NaN and infinite value comes back bit for bit.  A zero
     stored in a sparse record, such as a pruned weight, comes back as +0.0
@@ -170,5 +169,5 @@ def load_params(path: str | Path) -> ParamSet:
     """
     params = ParamSet()
     for name, arr in load_tensors(path).items():
-        params.add(name, arr, prunable=name.endswith(".weight"))
+        params.add(name, arr)
     return params

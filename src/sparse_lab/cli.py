@@ -12,6 +12,14 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import probes, reporting, selftest, sketch
+from .nn import MlpArchitecture, TrainConfig
+from .pruning import PruneScope
+from .rundir import DatasetSpec, SketchConfig, is_run_dir
+from .util import derive_seed
+
 
 class ConfigError(ValueError):
     """Bad flag value, bad config file, or inconsistent options."""
@@ -125,10 +133,6 @@ def _add_table_options(parser: argparse.ArgumentParser, table: dict[str, tuple])
 
 
 def _build_sketch_config(opts: dict, given: set[str]):
-    from .nn import MlpArchitecture, TrainConfig
-    from .pruning import PruneScope
-    from .rundir import DatasetSpec, SketchConfig
-
     kind = opts["dataset"]
     if kind not in DATASET_OPTIONS:
         raise ConfigError(f"unknown dataset kind {kind!r} (expected mnist, idx, or blobs)")
@@ -205,20 +209,16 @@ def _build_sketch_config(opts: dict, given: set[str]):
 
 
 def _cmd_sketch(args: argparse.Namespace) -> int:
-    from .sketch import run_sketch
-
     opts, given = _merge_options(args, SKETCH_OPTIONS)
     if not opts["out"]:
         raise ConfigError("--out is required")
     cfg = _build_sketch_config(opts, given)
-    run = run_sketch(cfg, opts["out"], on_round=_print_round)
+    run = sketch.run_sketch(cfg, opts["out"], on_round=_print_round)
     _print_run_summary(run, opts["out"])
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sketch import sweep
-
     table = {**SKETCH_OPTIONS, **SWEEP_EXTRA}
     opts, given = _merge_options(args, table)
     if not opts["out"]:
@@ -228,7 +228,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"--{key} must list at least one value")
     base_cfg = _build_sketch_config(opts, given)
     try:
-        runs = sweep(base_cfg, opts["lambdas"], opts["epsilons"], opts["seeds"], opts["out"])
+        runs = sketch.sweep(base_cfg, opts["lambdas"], opts["epsilons"], opts["seeds"], opts["out"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print(f"sweep complete: {len(runs)} runs under {opts['out']}")
@@ -240,26 +240,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .probes import PROBE_BATCH_SIZE, probe_along_run, save_probes
-    from .reporting import finalize_run_dir, load_run
-    from .sketch import load_dataset, read_config
-    from .util import derive_seed
-
     if args.probe_size is not None and args.probe_size < 1:
         raise ConfigError(f"--probe-size must be at least 1, got {args.probe_size}")
     run_dir = Path(args.run)
-    cfg = read_config(run_dir)
-    _, test_set = load_dataset(cfg.dataset)
-    size = min(args.probe_size or PROBE_BATCH_SIZE, test_set.size)
+    cfg = sketch.read_config(run_dir)
+    _, test_set = sketch.load_dataset(cfg.dataset)
+    size = min(args.probe_size or probes.PROBE_BATCH_SIZE, test_set.size)
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.train.seed, "probe")))
     batch = test_set.features[np.sort(rng.choice(test_set.size, size=size, replace=False))]
-    probes = probe_along_run(run_dir, batch)
-    save_probes(run_dir, probes)
-    finalize_run_dir(load_run(run_dir), run_dir)
-    print(f"probed {len(probes)} pruned rounds in {run_dir}")
-    for k, p in enumerate(probes):
+    results = probes.probe_along_run(run_dir, batch)
+    probes.save_probes(run_dir, results)
+    reporting.finalize_run_dir(reporting.load_run(run_dir), run_dir)
+    print(f"probed {len(results)} pruned rounds in {run_dir}")
+    for k, p in enumerate(results):
         print(f"  round {k}: y_exc_l1 {p.y_exc_l1:.6g}, "
               f"masked |w| {p.weight_l1_masked_out:.6g}, "
               f"max amplification {p.condition2_score:.4g}")
@@ -267,9 +260,6 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .reporting import check_curves, detect_phases, emit_curves, finalize_run_dir, load_run
-    from .rundir import is_run_dir
-
     if not 0.0 < args.delta < math.inf:
         raise ConfigError(f"--delta must be a positive finite number, got {args.delta}")
     run_dirs: list[Path] = []
@@ -280,22 +270,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not run_dirs:
         raise ConfigError("report needs --run DIR (repeatable) or --sweep DIR")
 
-    runs = [load_run(d) for d in run_dirs]
+    runs = [reporting.load_run(d) for d in run_dirs]
     metrics = [m.strip() for m in args.metrics.split(",")] if args.metrics else ["test_acc"]
     try:
-        check_curves(runs, metrics)  # before anything is written
+        reporting.check_curves(runs, metrics)  # before anything is written
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     probes_by_run = {}
     for run, d in zip(runs, run_dirs):
         if len(run.rounds) >= 4:
-            run.phase_annotation = detect_phases(run, args.delta)
-        probes_by_run[run.config.run_id] = finalize_run_dir(run, d)
+            run.phase_annotation = reporting.detect_phases(run, args.delta)
+        probes_by_run[run.config.run_id] = reporting.finalize_run_dir(run, d)
 
     out_dir = Path(args.out) if args.out else (Path(args.sweep) if args.sweep else run_dirs[0])
     for metric in metrics:
-        emit_curves(runs, metric, out_dir, probes_by_run)
+        reporting.emit_curves(runs, metric, out_dir, probes_by_run)
 
     for run in runs:
         note = ""
@@ -309,9 +299,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(_args: argparse.Namespace) -> int:
-    from .selftest import run_selftest
-
-    ok, lines = run_selftest()
+    ok, lines = selftest.run_selftest()
     for line in lines:
         print(line)
     if not ok:

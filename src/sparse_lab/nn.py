@@ -38,20 +38,18 @@ if TYPE_CHECKING:
 class ParamSet:
     """Ordered, named collection of parameter tensors.
 
-    Entries keep insertion order and are flagged prunable (weight matrices)
-    or non-prunable (bias vectors).  Shapes are fixed at construction.
+    Entries keep insertion order.  Prunability is the name: a ``*.weight``
+    entry is a prunable weight matrix, anything else (a bias vector) is not.
+    Shapes are fixed at construction.
     """
 
     def __init__(self) -> None:
         self._tensors: dict[str, np.ndarray] = {}
-        self._prunable: dict[str, bool] = {}
 
-    def add(self, name: str, tensor: np.ndarray, prunable: bool) -> None:
+    def add(self, name: str, tensor: np.ndarray) -> None:
         if name in self._tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
-        arr = np.ascontiguousarray(tensor, dtype=np.float64)
-        self._tensors[name] = arr
-        self._prunable[name] = prunable
+        self._tensors[name] = np.ascontiguousarray(tensor, dtype=np.float64)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._tensors[name]
@@ -75,10 +73,15 @@ class ParamSet:
         return list(self._tensors)
 
     def prunable_names(self) -> list[str]:
-        return [n for n in self._tensors if self._prunable[n]]
+        return [n for n in self._tensors if self.is_prunable(n)]
 
-    def is_prunable(self, name: str) -> bool:
-        return self._prunable[name]
+    @staticmethod
+    def is_prunable(name: str) -> bool:
+        return name.endswith(".weight")
+
+    def shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """(name, shape) of every entry, in order: the network's layout."""
+        return [(n, t.shape) for n, t in self._tensors.items()]
 
     def total_count(self) -> int:
         return sum(t.size for t in self._tensors.values())
@@ -86,7 +89,7 @@ class ParamSet:
     def copy(self) -> "ParamSet":
         out = ParamSet()
         for name, tensor in self._tensors.items():
-            out.add(name, tensor.copy(), self._prunable[name])
+            out.add(name, tensor.copy())
         return out
 
     def congruent_zeros(self) -> dict[str, np.ndarray]:
@@ -117,10 +120,6 @@ class MlpArchitecture:
         object.__setattr__(self, "layer_sizes", sizes)
 
     @property
-    def num_layers(self) -> int:
-        return len(self.layer_sizes) - 1
-
-    @property
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
@@ -128,12 +127,19 @@ class MlpArchitecture:
     def num_classes(self) -> int:
         return self.layer_sizes[-1]
 
-    def fingerprint(self) -> str:
-        return "mlp-" + "x".join(str(s) for s in self.layer_sizes)
+    def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """(name, shape) of every tensor ``init_params`` makes, in order.
+
+        Layer i (1-based) contributes ``fc{i}.weight`` with shape
+        (fan_out, fan_in) and ``fc{i}.bias`` with shape (fan_out,).
+        """
+        shapes = []
+        for i, (fan_in, fan_out) in enumerate(zip(self.layer_sizes, self.layer_sizes[1:])):
+            shapes += [(f"fc{i + 1}.weight", (fan_out, fan_in)), (f"fc{i + 1}.bias", (fan_out,))]
+        return shapes
 
     def param_count(self) -> int:
-        sizes = self.layer_sizes
-        return sum(sizes[i] * sizes[i + 1] + sizes[i + 1] for i in range(len(sizes) - 1))
+        return sum(int(np.prod(shape)) for _, shape in self.param_shapes())
 
 
 @dataclass(frozen=True)
@@ -192,30 +198,26 @@ class OptimizerState:
 
 
 def init_params(arch: MlpArchitecture, seed: int) -> ParamSet:
-    """Initialize an MLP: weights uniform in [-b, b] with b = sqrt(1/fan_in),
-    biases zero.  Bit-reproducible for a fixed seed.
-
-    Layer i (1-based) contributes ``fc{i}.weight`` with shape
-    (fan_out, fan_in) and ``fc{i}.bias`` with shape (fan_out,).
+    """Initialize an MLP laid out as ``arch.param_shapes()``: weights uniform
+    in [-b, b] with b = sqrt(1/fan_in), biases zero.  Bit-reproducible for a
+    fixed seed.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     params = ParamSet()
-    sizes = arch.layer_sizes
-    for i in range(arch.num_layers):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        bound = np.sqrt(1.0 / fan_in)
-        weight = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        params.add(f"fc{i + 1}.weight", weight, prunable=True)
-        params.add(f"fc{i + 1}.bias", np.zeros(fan_out), prunable=False)
+    for name, shape in arch.param_shapes():
+        if ParamSet.is_prunable(name):
+            bound = np.sqrt(1.0 / shape[1])
+            params.add(name, rng.uniform(-bound, bound, size=shape))
+        else:
+            params.add(name, np.zeros(shape))
     return params
 
 
 def _layer_names(params: ParamSet) -> list[tuple[str, str]]:
-    """(weight, bias) name pairs in layer order."""
-    weights = [n for n in params.names() if n.endswith(".weight")]
+    """(weight, bias) name pairs in layer order: ``<layer>.weight`` with ``<layer>.bias``."""
     pairs = []
-    for w in weights:
-        b = w[: -len(".weight")] + ".bias"
+    for w in params.prunable_names():
+        b = w.rpartition(".")[0] + ".bias"
         if b not in params:
             raise ValueError(f"missing bias for layer {w!r}")
         pairs.append((w, b))

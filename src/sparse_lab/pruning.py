@@ -1,19 +1,20 @@
 """Magnitude pruning with explicit binary masks and rewinding to initialization.
 
-A Mask covers exactly the prunable tensors of a ParamSet (weight matrices;
-biases are never pruned and never counted in sparsity).  Masks only ever move
-from 1 to 0: each pruning round removes the smallest-magnitude fraction of the
-weights still surviving, either per layer or across all layers at once.
+A Mask covers exactly the prunable tensors of a ParamSet, its ``*.weight``
+entries; biases are never pruned and never counted in sparsity.  Masks only
+ever move from 1 to 0: each pruning round removes the smallest-magnitude
+fraction of the weights still surviving, either per layer or across all
+layers at once.  The rewind target is the initialization itself, a ParamSet
+with the same names and shapes as the one being trained.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .nn import MlpArchitecture, OptimizerState, ParamSet
+from .nn import OptimizerState, ParamSet
 
 
 class PruneScope(Enum):
@@ -62,11 +63,6 @@ class Mask:
         """True when every 1 in self is also 1 in other (monotonicity)."""
         return self.names() == other.names() and all(
             np.all(self._entries[n] <= other._entries[n]) for n in self._entries
-        )
-
-    def equals(self, other: "Mask") -> bool:
-        return self.names() == other.names() and all(
-            np.array_equal(self._entries[n], other._entries[n]) for n in self._entries
         )
 
 
@@ -128,49 +124,19 @@ def prune(params: ParamSet, mask: Mask, t_iter: float, scope: PruneScope) -> Mas
     return new_mask
 
 
-@dataclass(frozen=True)
-class InitSnapshot:
-    """Frozen copy of the parameters at t=0, used for rewinding."""
-
-    params: ParamSet
-    seed: int
-    fingerprint: str
-
-    @classmethod
-    def capture(cls, params: ParamSet, arch: MlpArchitecture, seed: int) -> "InitSnapshot":
-        return cls(params=params.copy(), seed=seed, fingerprint=arch.fingerprint())
-
-
-def param_fingerprint(params: ParamSet) -> str:
-    """Architecture fingerprint recovered from a ParamSet's weight shapes."""
-    sizes = []
-    for name in params.prunable_names():
-        out_dim, in_dim = params[name].shape
-        if not sizes:
-            sizes.append(in_dim)
-        sizes.append(out_dim)
-    return "mlp-" + "x".join(str(s) for s in sizes)
-
-
-def rewind(
-    params: ParamSet,
-    snapshot: InitSnapshot,
-    mask: Mask,
-    state: OptimizerState,
-) -> None:
-    """Reset surviving weights (bitwise) and all biases to the snapshot.
+def rewind(params: ParamSet, init: ParamSet, mask: Mask, state: OptimizerState) -> None:
+    """Reset surviving weights (bitwise) and all biases to ``init``.
 
     Masked-out weights become exactly 0, and the optimizer state is cleared:
     retraining starts from the original initialization with a fresh optimizer.
+    Raises ValueError unless ``params`` and ``init`` have the same names and
+    shapes in the same order.
     """
-    actual = param_fingerprint(params)
-    if actual != snapshot.fingerprint:
-        raise ValueError(
-            f"fingerprint mismatch: params are {actual!r}, snapshot is {snapshot.fingerprint!r}"
-        )
+    if params.shapes() != init.shapes():
+        raise ValueError(f"layout mismatch: params are {params.shapes()}, init is {init.shapes()}")
     for name in params.names():
         if name in mask:
-            params[name][...] = snapshot.params[name] * mask[name]
+            params[name][...] = init[name] * mask[name]
         else:
-            params[name][...] = snapshot.params[name]
+            params[name][...] = init[name]
     state.reset()

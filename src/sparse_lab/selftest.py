@@ -1,8 +1,9 @@
-"""Built-in sanity suites for the CLI: gradient check and prune oracle.
+"""Built-in sanity suites for the CLI, and the reference oracles behind them.
 
 Both suites check the fast paths against independent references: gradients
 against central finite differences of the loss, and pruning against a
-brute-force sort over (|value|, layer order, flat index).
+brute-force sort over (|value|, layer order, flat index).  The test suite
+uses the same oracles.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import numpy as np
 
 from .nn import MlpArchitecture, ParamSet, forward_trace, init_params, loss_and_grad
 from .pruning import Mask, PruneScope, prune
-from .util import derive_seed
 
 
 def fd_gradient(params: ParamSet, batch: np.ndarray, labels: np.ndarray, h: float = 1e-5) -> dict:
@@ -48,21 +48,27 @@ def max_relative_gradient_error(
     return worst
 
 
-def _random_small_net(seed: int) -> tuple[ParamSet, np.ndarray, np.ndarray]:
-    """A seeded net of <= 100 params with a batch placed away from ReLU kinks."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+def kink_free(params: ParamSet, batch: np.ndarray) -> bool:
+    """True when no hidden pre-activation lies within 1e-3 of the ReLU kink,
+    so central differences see a smooth loss around ``params``."""
+    _, pre, _ = forward_trace(params, None, batch)
+    return all(np.abs(z).min() > 1e-3 for z in pre[:-1])
+
+
+def random_small_net(seed: int) -> tuple[ParamSet, np.ndarray, np.ndarray]:
+    """A seeded net of <= 100 params with a kink-free batch of 4 samples."""
+    rng = np.random.default_rng(seed)
     for attempt in range(64):
-        sizes = [int(rng.integers(2, 6)) for _ in range(int(rng.integers(2, 4)) + 1)]
+        depth = int(rng.integers(2, 4))
+        sizes = [int(rng.integers(2, 7)) for _ in range(depth + 1)]
         arch = MlpArchitecture(sizes)
         if arch.param_count() > 100:
             continue
-        params = init_params(arch, derive_seed(seed, "init", attempt))
-        batch_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "batch", attempt)))
+        params = init_params(arch, seed * 1000 + attempt)
+        batch_rng = np.random.default_rng(seed * 2000 + attempt)
         batch = batch_rng.standard_normal((4, sizes[0]))
         labels = batch_rng.integers(0, sizes[-1], size=4)
-        _, pre, _ = forward_trace(params, None, batch)
-        # keep pre-activations off the kink so finite differences stay smooth
-        if all(np.abs(z).min() > 1e-3 for z in pre[:-1]):
+        if kink_free(params, batch):
             return params, batch, labels
     raise RuntimeError(f"could not build a kink-free test net for seed {seed}")
 
@@ -70,7 +76,7 @@ def _random_small_net(seed: int) -> tuple[ParamSet, np.ndarray, np.ndarray]:
 def run_gradient_check(num_nets: int = 5, tolerance: float = 1e-6) -> tuple[bool, str]:
     worst = 0.0
     for trial in range(num_nets):
-        params, batch, labels = _random_small_net(1000 + trial)
+        params, batch, labels = random_small_net(1000 + trial)
         worst = max(worst, max_relative_gradient_error(params, batch, labels))
     ok = worst < tolerance
     return ok, f"gradient check: max relative error {worst:.3e} (tolerance {tolerance:.0e})"
@@ -113,8 +119,8 @@ def run_prune_oracle(num_cases: int = 200) -> tuple[bool, str]:
         for i, shape in enumerate(shapes):
             # discrete magnitudes force ties to exercise the tie-break
             w = rng.choice([-0.5, -0.25, 0.0, 0.1, 0.25, 0.5], size=shape)
-            params.add(f"fc{i + 1}.weight", w, prunable=True)
-            params.add(f"fc{i + 1}.bias", np.zeros(shape[0]), prunable=False)
+            params.add(f"fc{i + 1}.weight", w)
+            params.add(f"fc{i + 1}.bias", np.zeros(shape[0]))
             weights.append(params[f"fc{i + 1}.weight"])
             masks.append((rng.random(shape) < 0.8).astype(np.float64))
         if sum(m.sum() for m in masks) == 0:

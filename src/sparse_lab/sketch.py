@@ -24,7 +24,7 @@ from .checkpoint import (
 )
 from .data import LabeledDataset, inject_symmetric_noise, load_idx, split, synth_blobs
 from .nn import OptimizerState, ParamSet, evaluate, init_params, train
-from .pruning import InitSnapshot, Mask, prune, rewind, sparsity
+from .pruning import Mask, prune, rewind, sparsity
 from .reporting import DEFAULT_PHASE_DELTA, detect_phases
 from .rundir import (
     INIT,
@@ -133,23 +133,23 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
     # test purity: label noise only ever touches the training split
     assert test_set.noise is None
 
-    snapshot_path = run_dir / INIT
-    if snapshot_path.exists():
-        snap_params = load_params(snapshot_path)
-        snapshot = InitSnapshot(
-            params=snap_params, seed=cfg.train.seed, fingerprint=cfg.arch.fingerprint()
-        )
+    init_path = run_dir / INIT
+    if init_path.exists():
+        init = load_params(init_path)
+        if init.shapes() != cfg.arch.param_shapes():
+            raise CheckpointError(
+                f"{init_path} holds tensors {init.shapes()}, not the initialization "
+                f"of architecture {list(cfg.arch.layer_sizes)}"
+            )
     else:
-        snapshot = InitSnapshot.capture(
-            init_params(cfg.arch, cfg.train.seed), cfg.arch, cfg.train.seed
-        )
-        save_params(snapshot_path, snapshot.params)
+        init = init_params(cfg.arch, cfg.train.seed)
+        save_params(init_path, init)
 
     discard_partial_round(run_dir, done_before)
     if rounds:
         params, mask = load_round_state(run_dir, len(rounds) - 1)
     else:
-        params = snapshot.params.copy()
+        params = init.copy()
         mask = Mask.full(params)
 
     state = OptimizerState(params)
@@ -165,7 +165,7 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
                     f"no weights from {mask.surviving()} survivors"
                 )
             mask = new_mask
-            rewind(params, snapshot, mask, state)
+            rewind(params, init, mask, state)
         history = train(params, mask, state, train_noisy, cfg.train)
         train_loss, train_acc = evaluate(params, mask, train_noisy)
         test_loss, test_acc = evaluate(params, mask, test_set)

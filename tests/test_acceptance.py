@@ -5,7 +5,7 @@ Each test prints one PASS/FAIL line (run with ``pytest tests/test_acceptance.py
 double-descent pair through ``sweep`` on the four MNIST IDX files, found in
 $SPARSE_LAB_MNIST_DIR or ./data/mnist.  With neither configured they skip,
 naming the files; a configured directory that lacks one fails, naming it.
-The gradient and prune oracles are shared with the other tests (conftest.py).
+The gradient and prune oracles are those of ``sparse_lab.selftest``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import pytest
 import sparse_lab.sketch as sketch_mod
 from sparse_lab import (
     DatasetSpec,
-    InitSnapshot,
     Mask,
     MlpArchitecture,
     OptimizerState,
@@ -47,9 +46,7 @@ from sparse_lab import (
     synth_blobs,
     train,
 )
-from sparse_lab.nn import forward_trace
-
-from conftest import brute_force_kept, finite_difference_grads, gradient_mismatch
+from sparse_lab.selftest import brute_force_prune, max_relative_gradient_error, random_small_net
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -61,35 +58,13 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 # criterion 1: gradient correctness
 # --------------------------------------------------------------------------
 
-def random_small_net(seed):
-    """Seeded net of <= 100 params whose pre-activations avoid ReLU kinks
-    (central differences are invalid across the kink)."""
-    rng = np.random.default_rng(seed)
-    for attempt in range(64):
-        depth = int(rng.integers(2, 4))
-        sizes = [int(rng.integers(2, 7)) for _ in range(depth + 1)]
-        arch = MlpArchitecture(sizes)
-        if arch.param_count() > 100:
-            continue
-        params = init_params(arch, seed * 1000 + attempt)
-        brng = np.random.default_rng(seed * 2000 + attempt)
-        batch = brng.standard_normal((4, sizes[0]))
-        labels = brng.integers(0, sizes[-1], size=4)
-        _, pre, _ = forward_trace(params, None, batch)
-        if all(np.abs(z).min() > 1e-3 for z in pre[:-1]):
-            return params, batch, labels
-    raise RuntimeError(f"no kink-free net for seed {seed}")
-
-
 def test_criterion_1_gradient_correctness():
     started = time.perf_counter()
     worst = 0.0
     for trial in range(20):
         params, batch, labels = random_small_net(trial + 1)
         assert params.total_count() <= 100
-        _, analytic = loss_and_grad(params, None, batch, labels)
-        numeric = finite_difference_grads(params, batch, labels)
-        worst = max(worst, gradient_mismatch(analytic, numeric, params.names()))
+        worst = max(worst, max_relative_gradient_error(params, batch, labels))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-6 and elapsed < 10.0
     report(1, ok, f"20 nets, max relative error {worst:.3e} (< 1e-6), {elapsed:.2f}s (< 10s)")
@@ -118,8 +93,8 @@ def test_criterion_2_prune_oracle_equivalence():
                     w = rng.choice([-0.6, -0.3, 0.0, 0.15, 0.3, 0.6], size=(1, cols))
                 else:
                     w = rng.standard_normal((1, cols))
-                params.add(f"fc{i+1}.weight", w, prunable=True)
-                params.add(f"fc{i+1}.bias", np.zeros(1), prunable=False)
+                params.add(f"fc{i+1}.weight", w)
+                params.add(f"fc{i+1}.bias", np.zeros(1))
                 weights.append(params[f"fc{i+1}.weight"])
                 masks.append((rng.random((1, cols)) < 0.8).astype(np.float64))
             if sum(int(m.sum()) for m in masks) == 0:
@@ -127,7 +102,7 @@ def test_criterion_2_prune_oracle_equivalence():
             mask = Mask({f"fc{i+1}.weight": masks[i] for i in range(n_layers)})
             t_iter = float(rng.uniform(0.02, 0.98))
             result = prune(params, mask, t_iter, scope)
-            expected = brute_force_kept(weights, masks, t_iter, scope)
+            expected = brute_force_prune(weights, masks, t_iter, scope)
             for i in range(n_layers):
                 got = set(np.flatnonzero(result[f"fc{i+1}.weight"].reshape(-1) == 1.0))
                 assert got == expected[i], (
@@ -207,7 +182,7 @@ def test_criterion_4_rewind_fidelity_and_stasis():
     arch = MlpArchitecture([10, 24, 8])
     seed = 17
     params = init_params(arch, seed)
-    snapshot = InitSnapshot.capture(params, arch, seed)
+    init = params.copy()
     mask = Mask.full(params)
     state = OptimizerState(params)
     ds = synth_blobs(n_per_class=30, num_classes=8, dim=10, separation=3.0, seed=5)
@@ -219,16 +194,16 @@ def test_criterion_4_rewind_fidelity_and_stasis():
     for round_k in range(1, 4):
         train(params, mask, state, noisy, cfg)
         mask = prune(params, mask, 0.3, PruneScope.LAYERWISE)
-        rewind(params, snapshot, mask, state)
+        rewind(params, init, mask, state)
 
-        # surviving weights bitwise equal to the snapshot immediately post-rewind
+        # surviving weights bitwise equal to the init immediately post-rewind
         for name in params.names():
             if name in mask:
                 keep = mask[name] == 1.0
-                assert np.array_equal(params[name][keep], snapshot.params[name][keep])
+                assert np.array_equal(params[name][keep], init[name][keep])
                 assert np.all(params[name][~keep] == 0.0)
             else:
-                assert np.array_equal(params[name], snapshot.params[name])
+                assert np.array_equal(params[name], init[name])
 
         # masked weights and velocities stay exactly 0.0 through 100 SGD steps
         for _ in range(100):

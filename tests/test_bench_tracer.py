@@ -9,8 +9,9 @@ import importlib.util
 import math
 from pathlib import Path
 
+import sparse_lab.cli as cli
 import sparse_lab.sketch as sketch
-from sparse_lab import DatasetSpec, MlpArchitecture, SketchConfig, TrainConfig, cli_main
+from sparse_lab import DatasetSpec, MlpArchitecture, SketchConfig, TrainConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -41,8 +42,12 @@ def test_layer_spans_count_rounds_probes_and_checkpoint_reads(tmp_path):
     run_dir = tmp_path / "r"
     with tracer.Tracer(tracer.LAYER_SPANS, "guard") as t:
         sketch.run_sketch(cfg, run_dir)
-        assert cli_main(["probe", "--run", str(run_dir)]) == 0
-        assert cli_main(["report", "--run", str(run_dir)]) == 0
+        assert cli.cli_main(["probe", "--run", str(run_dir)]) == 0
+        assert cli.cli_main(["report", "--run", str(run_dir)]) == 0
+    # the CLI calls reporting module-qualified, so the wrappers see probe/report
+    cli_spans = {i for i, s in enumerate(t.spans) if s[tracer.NAME] == "cli.cli_main"}
+    under_cli = {s[tracer.NAME] for s in t.spans if s[tracer.PARENT] in cli_spans}
+    assert {"reporting.finalize_run_dir", "reporting.load_run"} <= under_cli
     metrics = tracer.layer_metrics(t.spans)
     assert metrics["sketch.rounds"] > 0
     assert metrics["probes.calls"] > 0

@@ -50,7 +50,8 @@ def import_table():
 def test_parser_sees_the_package_structure():
     table = import_table()
     assert ("reporting", [], False) in table["sketch"]
-    assert any(nested for _, _, nested in table["cli"])
+    nested = "def f():\n    from .sketch import run_sketch\n"
+    assert internal_imports(ast.parse(nested)) == [("sketch", ["run_sketch"], True)]
 
 
 def test_import_graph_has_no_cycle():
@@ -72,9 +73,9 @@ def test_import_graph_has_no_cycle():
         walk(m)
 
 
-def test_only_the_cli_imports_inside_functions():
+def test_no_module_imports_inside_functions():
     nested = {m for m, imports in import_table().items() if any(n for _, _, n in imports)}
-    assert nested <= {"cli"}
+    assert nested == set()
 
 
 def test_no_module_imports_a_private_name():

@@ -28,10 +28,10 @@ from conftest import make_params
 def two_layer(w1, w2):
     params = ParamSet()
     w1, w2 = np.asarray(w1, float), np.asarray(w2, float)
-    params.add("fc1.weight", w1, prunable=True)
-    params.add("fc1.bias", np.zeros(w1.shape[0]), prunable=False)
-    params.add("fc2.weight", w2, prunable=True)
-    params.add("fc2.bias", np.zeros(w2.shape[0]), prunable=False)
+    params.add("fc1.weight", w1)
+    params.add("fc1.bias", np.zeros(w1.shape[0]))
+    params.add("fc2.weight", w2)
+    params.add("fc2.bias", np.zeros(w2.shape[0]))
     return params
 
 
@@ -126,12 +126,12 @@ class TestAmplificationCheck:
 
     def test_dead_relu_downstream_gives_zero(self):
         params = ParamSet()
-        params.add("fc1.weight", np.eye(2), prunable=True)
-        params.add("fc1.bias", np.zeros(2), prunable=False)
-        params.add("fc2.weight", -np.eye(2), prunable=True)  # kills every unit
-        params.add("fc2.bias", np.zeros(2), prunable=False)
-        params.add("fc3.weight", np.ones((2, 2)), prunable=True)
-        params.add("fc3.bias", np.zeros(2), prunable=False)
+        params.add("fc1.weight", np.eye(2))
+        params.add("fc1.bias", np.zeros(2))
+        params.add("fc2.weight", -np.eye(2))  # kills every unit
+        params.add("fc2.bias", np.zeros(2))
+        params.add("fc3.weight", np.ones((2, 2)))
+        params.add("fc3.bias", np.zeros(2))
         batch = np.array([[3.0, 4.0]])  # positive first-layer activations
         ratios = amplification_check(params, batch)
         assert ratios[0] == 0.0  # path through the dead layer

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sparse_lab import (
-    InitSnapshot,
     Mask,
     MlpArchitecture,
     OptimizerState,
@@ -18,7 +17,9 @@ from sparse_lab import (
     sparsity,
 )
 
-from conftest import brute_force_kept, make_params
+from sparse_lab.selftest import brute_force_prune
+
+from conftest import make_params
 
 
 def single_layer(values):
@@ -56,10 +57,10 @@ class TestPrune:
 
     def test_global_scope_ranks_across_layers(self):
         params = ParamSet()
-        params.add("fc1.weight", np.array([[10.0, 20.0]]), prunable=True)
-        params.add("fc1.bias", np.zeros(1), prunable=False)
-        params.add("fc2.weight", np.array([[0.1, 0.2]]), prunable=True)
-        params.add("fc2.bias", np.zeros(1), prunable=False)
+        params.add("fc1.weight", np.array([[10.0, 20.0]]))
+        params.add("fc1.bias", np.zeros(1))
+        params.add("fc2.weight", np.array([[0.1, 0.2]]))
+        params.add("fc2.bias", np.zeros(1))
         mask = Mask.full(params)
         out = prune(params, mask, t_iter=0.5, scope=PruneScope.GLOBAL)
         # the two smallest magnitudes both live in fc2
@@ -68,20 +69,20 @@ class TestPrune:
 
     def test_layerwise_scope_prunes_each_layer(self):
         params = ParamSet()
-        params.add("fc1.weight", np.array([[10.0, 20.0]]), prunable=True)
-        params.add("fc1.bias", np.zeros(1), prunable=False)
-        params.add("fc2.weight", np.array([[0.1, 0.2]]), prunable=True)
-        params.add("fc2.bias", np.zeros(1), prunable=False)
+        params.add("fc1.weight", np.array([[10.0, 20.0]]))
+        params.add("fc1.bias", np.zeros(1))
+        params.add("fc2.weight", np.array([[0.1, 0.2]]))
+        params.add("fc2.bias", np.zeros(1))
         out = prune(params, Mask.full(params), t_iter=0.5, scope=PruneScope.LAYERWISE)
         np.testing.assert_array_equal(out["fc1.weight"], [[0.0, 1.0]])
         np.testing.assert_array_equal(out["fc2.weight"], [[0.0, 1.0]])
 
     def test_global_tie_break_prefers_earlier_layer(self):
         params = ParamSet()
-        params.add("fc1.weight", np.array([[0.5, 0.5]]), prunable=True)
-        params.add("fc1.bias", np.zeros(1), prunable=False)
-        params.add("fc2.weight", np.array([[0.5, 0.5]]), prunable=True)
-        params.add("fc2.bias", np.zeros(1), prunable=False)
+        params.add("fc1.weight", np.array([[0.5, 0.5]]))
+        params.add("fc1.bias", np.zeros(1))
+        params.add("fc2.weight", np.array([[0.5, 0.5]]))
+        params.add("fc2.bias", np.zeros(1))
         out = prune(params, Mask.full(params), t_iter=0.5, scope=PruneScope.GLOBAL)
         np.testing.assert_array_equal(out["fc1.weight"], [[0.0, 0.0]])
         np.testing.assert_array_equal(out["fc2.weight"], [[1.0, 1.0]])
@@ -154,7 +155,7 @@ class TestRewind:
     def _setup(self, seed=4):
         arch = MlpArchitecture([4, 3, 2])
         params = init_params(arch, seed)
-        snapshot = InitSnapshot.capture(params, arch, seed)
+        init = params.copy()
         state = OptimizerState(params)
         # churn the parameters so rewind has work to do
         rng = np.random.default_rng(seed)
@@ -162,52 +163,52 @@ class TestRewind:
             params[n] = params[n] + rng.standard_normal(params[n].shape)
             state.velocity[n][...] = rng.standard_normal(params[n].shape)
         state.step_count = 17
-        return arch, params, snapshot, state
+        return arch, params, init, state
 
     def test_full_mask_restores_bitwise(self):
-        _, params, snapshot, state = self._setup()
-        rewind(params, snapshot, Mask.full(params), state)
-        assert params.equals_bitwise(snapshot.params)
+        _, params, init, state = self._setup()
+        rewind(params, init, Mask.full(params), state)
+        assert params.equals_bitwise(init)
 
     def test_masked_positions_zeroed(self):
-        _, params, snapshot, state = self._setup()
+        _, params, init, state = self._setup()
         mask = Mask.full(params)
         mask["fc1.weight"][1, 2] = 0.0
-        rewind(params, snapshot, mask, state)
+        rewind(params, init, mask, state)
         assert params["fc1.weight"][1, 2] == 0.0
         assert state.velocity["fc1.weight"][1, 2] == 0.0
-        # survivors bitwise equal to the snapshot
+        # survivors bitwise equal to the init
         keep = mask["fc1.weight"] == 1.0
         np.testing.assert_array_equal(
-            params["fc1.weight"][keep], snapshot.params["fc1.weight"][keep]
+            params["fc1.weight"][keep], init["fc1.weight"][keep]
         )
 
     def test_optimizer_state_cleared(self):
-        _, params, snapshot, state = self._setup()
-        rewind(params, snapshot, Mask.full(params), state)
+        _, params, init, state = self._setup()
+        rewind(params, init, Mask.full(params), state)
         assert state.step_count == 0
         assert all(np.all(v == 0.0) for v in state.velocity.values())
 
     def test_idempotent(self):
-        _, params, snapshot, state = self._setup()
+        _, params, init, state = self._setup()
         mask = Mask.full(params)
         mask["fc2.weight"][0, 1] = 0.0
-        rewind(params, snapshot, mask, state)
+        rewind(params, init, mask, state)
         first = params.copy()
-        rewind(params, snapshot, mask, state)
+        rewind(params, init, mask, state)
         assert params.equals_bitwise(first)
 
     def test_fingerprint_mismatch_rejected(self):
-        _, params, snapshot, state = self._setup()
+        _, params, init, state = self._setup()
         other = init_params(MlpArchitecture([4, 5, 2]), seed=1)
-        with pytest.raises(ValueError, match="fingerprint"):
-            rewind(other, snapshot, Mask.full(other), OptimizerState(other))
+        with pytest.raises(ValueError, match="layout mismatch"):
+            rewind(other, init, Mask.full(other), OptimizerState(other))
 
     def test_masked_stays_zero_through_sgd(self):
-        _, params, snapshot, state = self._setup()
+        _, params, init, state = self._setup()
         mask = Mask.full(params)
         mask["fc1.weight"][0, 0] = 0.0
-        rewind(params, snapshot, mask, state)
+        rewind(params, init, mask, state)
         cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.9, weight_decay=1e-4, seed=0)
         rng = np.random.default_rng(0)
         for step in range(20):
@@ -230,8 +231,8 @@ class TestOracleEquivalence:
             for i in range(n_layers):
                 shape = (1, int(rng.integers(1, 11)))
                 w = rng.choice([-0.4, -0.2, 0.0, 0.2, 0.4, 0.8], size=shape)
-                params.add(f"fc{i+1}.weight", w, prunable=True)
-                params.add(f"fc{i+1}.bias", np.zeros(1), prunable=False)
+                params.add(f"fc{i+1}.weight", w)
+                params.add(f"fc{i+1}.bias", np.zeros(1))
                 weights.append(params[f"fc{i+1}.weight"])
                 masks.append((rng.random(shape) < 0.85).astype(np.float64))
             if sum(m.sum() for m in masks) == 0:
@@ -239,7 +240,7 @@ class TestOracleEquivalence:
             mask = Mask({f"fc{i+1}.weight": masks[i] for i in range(n_layers)})
             t_iter = float(rng.uniform(0.05, 0.95))
             result = prune(params, mask, t_iter, scope)
-            expected = brute_force_kept(weights, masks, t_iter, scope)
+            expected = brute_force_prune(weights, masks, t_iter, scope)
             for i in range(n_layers):
                 got = set(np.flatnonzero(result[f"fc{i+1}.weight"].reshape(-1) == 1.0))
                 assert got == expected[i], f"scope={scope} layer={i} t={t_iter}"

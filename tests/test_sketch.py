@@ -21,13 +21,14 @@ from sparse_lab import (
     TrainConfig,
     cli_main,
     detect_phases,
+    init_params,
     load_run,
     probe_along_run,
     resume,
     run_sketch,
     sweep,
 )
-from sparse_lab.checkpoint import CheckpointError
+from sparse_lab.checkpoint import CheckpointError, save_params
 from sparse_lab.reporting import write_phase_report
 from sparse_lab.rundir import read_config, write_config
 
@@ -329,6 +330,14 @@ class TestResume:
         bad.write_bytes(b"XXXX" + bad.read_bytes()[4:])
         with pytest.raises(CheckpointError, match=f"round {last}"):
             resume(tmp_path / "r")
+
+    def test_init_of_another_architecture_refused_before_any_round(self, tmp_path):
+        run_dir = tmp_path / "r"
+        run_dir.mkdir()
+        save_params(run_dir / "init.bin", init_params(MlpArchitecture([6, 9, 3]), 5))
+        with pytest.raises(CheckpointError, match="init.bin"):
+            run_sketch(tiny_config(), run_dir)
+        assert not list(run_dir.glob("round_*"))
 
     def test_tampered_config_refused(self, tmp_path):
         run_sketch(tiny_config(), tmp_path / "r")
