@@ -1,8 +1,11 @@
 """Command-line front door: sketch, sweep, probe, report, selftest.
 
-Options may come from a flat key=value config file (keys match the long
-flag names); explicit command-line flags override file values.  Exit codes:
-0 success, 1 configuration error, 2 runtime failure.
+A ``sketch`` or ``sweep`` flag sets one field of ``SketchConfig``,
+``TrainConfig`` or ``DatasetSpec``; those records own every default and
+every valid range, and the CLI owns only the four ``CLI_DEFAULTS``.  Options
+may come from a flat key=value config file (keys match the long flag names);
+explicit command-line flags override file values.  Exit codes: 0 success,
+1 configuration error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -33,44 +36,61 @@ def _float_list(s: str) -> list[float]:
     return [float(p) for p in s.split(",") if p.strip() != ""]
 
 
-# per-subcommand option tables: key -> (converter, default, help)
+def _limit(s: str) -> int | None:
+    return int(s) or None  # 0 = the whole training set
+
+
+# per-subcommand option tables: flag -> (converter, field it sets, help).  The
+# field is "train.<name>" (TrainConfig), "dataset.<name>" (DatasetSpec) or a
+# SketchConfig field; None marks an option the CLI reads itself.
 SKETCH_OPTIONS: dict[str, tuple] = {
-    "dataset": (str, "blobs", "dataset kind: mnist | idx | blobs"),
-    "data-dir": (str, "data/mnist", "directory with the standard MNIST IDX files"),
-    "train-images": (str, "", "IDX image file for training (dataset=idx)"),
-    "train-labels": (str, "", "IDX label file for training (dataset=idx)"),
-    "test-images": (str, "", "IDX image file for testing (dataset=idx)"),
-    "test-labels": (str, "", "IDX label file for testing (dataset=idx)"),
-    "limit": (int, 0, "truncate the training set to this many samples (0 = all)"),
-    "n-per-class": (int, 100, "blobs: samples per class"),
-    "num-classes": (int, 10, "blobs: number of classes"),
-    "dim": (int, 32, "blobs: feature dimension"),
-    "separation": (float, 3.0, "blobs: distance between neighboring class centers"),
-    "train-fraction": (float, 0.8, "blobs: train split fraction"),
-    "data-seed": (int, 0, "blobs: generation/split seed"),
+    "dataset": (str, None, "dataset kind: mnist | idx | blobs"),
+    "data-dir": (str, None, "directory with the standard MNIST IDX files"),
+    "train-images": (str, "dataset.train_images", "IDX image file for training (dataset=idx)"),
+    "train-labels": (str, "dataset.train_labels", "IDX label file for training (dataset=idx)"),
+    "test-images": (str, "dataset.test_images", "IDX image file for testing (dataset=idx)"),
+    "test-labels": (str, "dataset.test_labels", "IDX label file for testing (dataset=idx)"),
+    "limit": (_limit, "dataset.limit", "truncate the training set to this many samples (0 = all)"),
+    "n-per-class": (int, "dataset.n_per_class", "blobs: samples per class"),
+    "num-classes": (int, "dataset.num_classes", "blobs: number of classes"),
+    "dim": (int, "dataset.dim", "blobs: feature dimension"),
+    "separation": (float, "dataset.separation", "blobs: distance between neighboring class centers"),
+    "train-fraction": (float, "dataset.train_fraction", "blobs: train split fraction"),
+    "data-seed": (int, "dataset.data_seed", "blobs: generation/split seed"),
     "arch": (_int_list, None, "comma-separated layer sizes, e.g. 784,300,100,10"),
-    "epochs": (int, 200, "training epochs per round"),
-    "lr": (float, 0.1, "learning rate"),
-    "momentum": (float, 0.9, "SGD momentum"),
-    "lambda": (float, 0.0, "L2 weight-decay coefficient"),
-    "batch-size": (int, 128, "minibatch size"),
-    "milestones": (_int_list, [], "epochs at which the learning rate decays"),
-    "gamma": (float, 0.1, "learning-rate decay factor at each milestone"),
-    "seed": (int, 0, "training seed (init + shuffling)"),
-    "epsilon": (float, 0.0, "fraction of training labels to flip symmetrically"),
-    "noise-seed": (int, 0, "label-noise seed"),
-    "t-iter": (float, 0.2, "fraction of surviving weights pruned per round"),
-    "t-end": (float, 0.999, "target sparsity ending the run"),
-    "scope": (str, "layerwise", "pruning scope: layerwise | global"),
-    "run-id": (str, "sketch", "run identifier"),
+    "epochs": (int, "train.epochs", "training epochs per round"),
+    "lr": (float, "train.lr", "learning rate"),
+    "momentum": (float, "train.momentum", "SGD momentum"),
+    "lambda": (float, "train.weight_decay", "L2 weight-decay coefficient"),
+    "batch-size": (int, "train.batch_size", "minibatch size"),
+    "milestones": (_int_list, "train.lr_milestones", "epochs at which the learning rate decays"),
+    "gamma": (float, "train.lr_gamma", "learning-rate decay factor at each milestone"),
+    "seed": (int, "train.seed", "training seed (init + shuffling)"),
+    "epsilon": (float, "epsilon", "fraction of training labels to flip symmetrically"),
+    "noise-seed": (int, "noise_seed", "label-noise seed"),
+    "t-iter": (float, "t_iter", "fraction of surviving weights pruned per round"),
+    "t-end": (float, "t_end", "target sparsity ending the run"),
+    "scope": (PruneScope, "scope", "pruning scope: layerwise | global"),
+    "run-id": (str, "run_id", "run identifier"),
     "out": (str, None, "output directory for checkpoints and metrics"),
 }
+
+# the defaults no record owns: epochs and run_id are required record fields
+CLI_DEFAULTS = {"dataset": "blobs", "data-dir": "data/mnist", "epochs": 200, "run-id": "sketch"}
 
 # the dataset options each --dataset kind reads; giving any other one is an error
 DATASET_OPTIONS: dict[str, set[str]] = {
     "blobs": {"n-per-class", "num-classes", "dim", "separation", "train-fraction", "data-seed"},
     "idx": {"train-images", "train-labels", "test-images", "test-labels", "limit"},
     "mnist": {"data-dir", "limit"},
+}
+
+# the DatasetSpec file field -> its standard MNIST file name under --data-dir
+MNIST_FILES = {
+    "train_images": "train-images-idx3-ubyte",
+    "train_labels": "train-labels-idx1-ubyte",
+    "test_images": "t10k-images-idx3-ubyte",
+    "test_labels": "t10k-labels-idx1-ubyte",
 }
 
 SWEEP_EXTRA: dict[str, tuple] = {
@@ -96,139 +116,78 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_options(args: argparse.Namespace, table: dict[str, tuple]) -> tuple[dict, set[str]]:
-    """file defaults <- config file <- explicit CLI flags.
-
-    Returns the merged options and the keys set by a flag or the config file.
-    """
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
+def _merge_options(args: argparse.Namespace, table: dict[str, tuple]) -> dict:
+    """The options a config file or an explicit flag gave; the flag wins."""
+    file_values = _load_config_file(args.config) if args.config else {}
     unknown = set(file_values) - set(table)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     merged: dict = {}
-    given = set(file_values)
-    for key, (conv, default, _help) in table.items():
+    for key, (conv, _field, _help) in table.items():
         attr = key.replace("-", "_")
-        cli_value = getattr(args, attr, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-            given.add(key)
+        if hasattr(args, attr):  # flags default to argparse.SUPPRESS
+            merged[key] = getattr(args, attr)
         elif key in file_values:
             try:
                 merged[key] = conv(file_values[key])
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
-        else:
-            merged[key] = default
-    return merged, given
+    return merged
 
 
 def _add_table_options(parser: argparse.ArgumentParser, table: dict[str, tuple]) -> None:
     parser.add_argument("--config", default=None, help="flat key=value config file")
-    for key, (conv, _default, help_text) in table.items():
-        parser.add_argument(f"--{key}", type=conv, default=None, help=help_text, dest=key.replace("-", "_"))
+    for key, (conv, _field, help_text) in table.items():
+        parser.add_argument(f"--{key}", type=conv, default=argparse.SUPPRESS, help=help_text,
+                            dest=key.replace("-", "_"))
 
 
-def _build_sketch_config(opts: dict, given: set[str]):
-    kind = opts["dataset"]
+def _build_sketch_config(args: argparse.Namespace, table: dict) -> tuple[dict, SketchConfig]:
+    """The options a flag or the config file gave, and the config they set.
+
+    Every field no option sets keeps its record's default.
+    """
+    given = _merge_options(args, table)
+    if not given.get("out"):
+        raise ConfigError("--out is required")
+    kind = given.get("dataset", CLI_DEFAULTS["dataset"])
     if kind not in DATASET_OPTIONS:
         raise ConfigError(f"unknown dataset kind {kind!r} (expected mnist, idx, or blobs)")
-    ignored = (set().union(*DATASET_OPTIONS.values()) - DATASET_OPTIONS[kind]) & given
+    ignored = (set().union(*DATASET_OPTIONS.values()) - DATASET_OPTIONS[kind]) & set(given)
     if ignored:
         flags = ", ".join(f"--{k}" for k in sorted(ignored))
         raise ConfigError(f"dataset={kind} does not read {flags}")
-    limit = opts["limit"] or None
-    if kind == "mnist":
-        d = Path(opts["data-dir"])
-        spec = DatasetSpec(
-            kind="idx",
-            train_images=str(d / "train-images-idx3-ubyte"),
-            train_labels=str(d / "train-labels-idx1-ubyte"),
-            test_images=str(d / "t10k-images-idx3-ubyte"),
-            test_labels=str(d / "t10k-labels-idx1-ubyte"),
-            limit=limit,
-        )
-        default_arch = [784, 300, 100, 10]
-    elif kind == "idx":
-        for k in ("train-images", "train-labels", "test-images", "test-labels"):
-            if not opts[k]:
-                raise ConfigError(f"dataset=idx requires --{k}")
-        spec = DatasetSpec(
-            kind="idx",
-            train_images=opts["train-images"],
-            train_labels=opts["train-labels"],
-            test_images=opts["test-images"],
-            test_labels=opts["test-labels"],
-            limit=limit,
-        )
-        default_arch = [784, 300, 100, 10]
-    else:
-        spec = DatasetSpec(
-            kind="blobs",
-            n_per_class=opts["n-per-class"],
-            num_classes=opts["num-classes"],
-            dim=opts["dim"],
-            separation=opts["separation"],
-            train_fraction=opts["train-fraction"],
-            data_seed=opts["data-seed"],
-        )
-        default_arch = [opts["dim"], 64, 32, opts["num-classes"]]
 
-    arch_sizes = opts["arch"] if opts["arch"] is not None else default_arch
+    opts = CLI_DEFAULTS | given
+    fields: dict[str, dict] = {"": {}, "train": {}, "dataset": {}}
+    for key, (_conv, target, _help) in SKETCH_OPTIONS.items():
+        if target is not None and key in opts:
+            record, _, name = target.rpartition(".")
+            fields[record][name] = opts[key]
+    if kind == "mnist":
+        fields["dataset"] |= {f: str(Path(opts["data-dir"]) / name) for f, name in MNIST_FILES.items()}
     try:
-        arch = MlpArchitecture(arch_sizes)
-        train = TrainConfig(
-            epochs=opts["epochs"],
-            lr=opts["lr"],
-            momentum=opts["momentum"],
-            weight_decay=opts["lambda"],
-            batch_size=opts["batch-size"],
-            lr_milestones=tuple(opts["milestones"]),
-            lr_gamma=opts["gamma"],
-            seed=opts["seed"],
-        )
-        if opts["scope"] not in ("layerwise", "global"):
-            raise ConfigError(f"scope must be layerwise or global, got {opts['scope']!r}")
-        cfg = SketchConfig(
-            run_id=opts["run-id"],
-            arch=arch,
-            train=train,
-            dataset=spec,
-            t_iter=opts["t-iter"],
-            t_end=opts["t-end"],
-            scope=PruneScope(opts["scope"]),
-            epsilon=opts["epsilon"],
-            noise_seed=opts["noise-seed"],
-        )
+        spec = DatasetSpec(kind="blobs" if kind == "blobs" else "idx", **fields["dataset"])
+        default_arch = [spec.dim, 64, 32, spec.num_classes] if kind == "blobs" else [784, 300, 100, 10]
+        return opts, SketchConfig(arch=MlpArchitecture(opts.get("arch", default_arch)),
+                                  train=TrainConfig(**fields["train"]), dataset=spec, **fields[""])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def _cmd_sketch(args: argparse.Namespace) -> int:
-    opts, given = _merge_options(args, SKETCH_OPTIONS)
-    if not opts["out"]:
-        raise ConfigError("--out is required")
-    cfg = _build_sketch_config(opts, given)
+    opts, cfg = _build_sketch_config(args, SKETCH_OPTIONS)
     run = sketch.run_sketch(cfg, opts["out"], on_round=_print_round)
     _print_run_summary(run, opts["out"])
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    table = {**SKETCH_OPTIONS, **SWEEP_EXTRA}
-    opts, given = _merge_options(args, table)
-    if not opts["out"]:
-        raise ConfigError("--out is required")
-    for key in ("lambdas", "epsilons", "seeds"):
-        if not opts[key]:
-            raise ConfigError(f"--{key} must list at least one value")
-    base_cfg = _build_sketch_config(opts, given)
+    opts, base_cfg = _build_sketch_config(args, {**SKETCH_OPTIONS, **SWEEP_EXTRA})
+    grids = [opts.get(key, []) for key in ("lambdas", "epsilons", "seeds")]  # sweep refuses []
     try:
-        runs = sketch.sweep(base_cfg, opts["lambdas"], opts["epsilons"], opts["seeds"], opts["out"])
+        runs = sketch.sweep(base_cfg, *grids, opts["out"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print(f"sweep complete: {len(runs)} runs under {opts['out']}")
@@ -240,12 +199,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    if args.probe_size is not None and args.probe_size < 1:
+    if args.probe_size < 1:
         raise ConfigError(f"--probe-size must be at least 1, got {args.probe_size}")
     run_dir = Path(args.run)
     cfg = sketch.read_config(run_dir)
     _, test_set = sketch.load_dataset(cfg.dataset)
-    size = min(args.probe_size or probes.PROBE_BATCH_SIZE, test_set.size)
+    size = min(args.probe_size, test_set.size)
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.train.seed, "probe")))
     batch = test_set.features[np.sort(rng.choice(test_set.size, size=size, replace=False))]
     results = probes.probe_along_run(run_dir, batch)
@@ -279,7 +238,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     probes_by_run = {}
     for run, d in zip(runs, run_dirs):
-        if len(run.rounds) >= 4:
+        if len(run.rounds) >= reporting.MIN_PHASE_ROUNDS:
             run.phase_annotation = reporting.detect_phases(run, args.delta)
         probes_by_run[run.config.run_id] = reporting.finalize_run_dir(run, d)
 
@@ -339,14 +298,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_probe = sub.add_parser("probe", help="measure excess output along a finished run")
     p_probe.add_argument("--run", required=True, help="run directory")
-    p_probe.add_argument("--probe-size", type=int, default=None, help="probe batch size (default 256)")
+    p_probe.add_argument("--probe-size", type=int, default=probes.PROBE_BATCH_SIZE,
+                         help="probe batch size (default %(default)s)")
 
     p_report = sub.add_parser("report", help="regenerate metrics.csv, curves, and phase reports")
     p_report.add_argument("--run", action="append", help="run directory (repeatable)")
     p_report.add_argument("--sweep", default=None, help="directory containing run directories")
     p_report.add_argument("--out", default=None, help="where to write curve files")
     p_report.add_argument("--metrics", default=None, help="comma-separated curve metrics")
-    p_report.add_argument("--delta", type=float, default=1.0,
+    p_report.add_argument("--delta", type=float, default=reporting.DEFAULT_PHASE_DELTA,
                           help="phase-detection threshold in accuracy percentage points")
 
     sub.add_parser("selftest", help="run the built-in gradient and prune checks")

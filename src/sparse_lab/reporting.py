@@ -35,6 +35,7 @@ from .rundir import (
 from .util import TOOL_VERSION, fmt_num, fmt_sig17
 
 DEFAULT_PHASE_DELTA = 1.0  # accuracy percentage points
+MIN_PHASE_ROUNDS = 4  # the fewest rounds detect_phases reads
 METRICS_HEADER = (
     "run_id,round,sparsity,epsilon,lambda,seed,"
     "train_loss,train_acc,test_loss,test_acc,y_exc_l1,wall_seconds"
@@ -248,8 +249,8 @@ def detect_phases(run: SketchRun, delta: float = DEFAULT_PHASE_DELTA) -> PhaseRe
     running maximum that never wins delta back.
     """
     rounds = run.rounds
-    if len(rounds) < 4:
-        raise ValueError(f"phase detection needs >= 4 rounds, run has {len(rounds)}")
+    if len(rounds) < MIN_PHASE_ROUNDS:
+        raise ValueError(f"phase detection needs >= {MIN_PHASE_ROUNDS} rounds, run has {len(rounds)}")
     acc = [100.0 * m.test_acc for m in rounds]
     n = len(acc)
 

@@ -47,7 +47,13 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Where the run's data comes from: an IDX file pair or synthetic blobs."""
+    """Where the run's data comes from: an IDX file pair or synthetic blobs.
+
+    Each kind reads and checks only its own fields.  ``idx`` reads the four
+    file paths (non-empty) and ``limit`` (None for the whole training set,
+    else >= 1); ``blobs`` reads ``n_per_class``, ``num_classes`` and ``dim``
+    (each >= 1), ``separation``, ``train_fraction`` (in (0, 1)) and ``data_seed``.
+    """
 
     kind: str  # "idx" | "blobs"
     train_images: str = ""
@@ -63,7 +69,18 @@ class DatasetSpec:
     data_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("idx", "blobs"):
+        if self.kind == "idx":
+            paths = (self.train_images, self.train_labels, self.test_images, self.test_labels)
+            if not all(paths):
+                raise ValueError("dataset kind idx needs all four IDX file paths")
+            if self.limit is not None and self.limit < 1:
+                raise ValueError(f"limit must be None or >= 1, got {self.limit}")
+        elif self.kind == "blobs":
+            if min(self.n_per_class, self.num_classes, self.dim) < 1:
+                raise ValueError("n_per_class, num_classes and dim must be >= 1")
+            if not 0.0 < self.train_fraction < 1.0:
+                raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        else:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
 
 

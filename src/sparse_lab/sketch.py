@@ -25,7 +25,7 @@ from .checkpoint import (
 from .data import LabeledDataset, inject_symmetric_noise, load_idx, split, synth_blobs
 from .nn import OptimizerState, ParamSet, evaluate, init_params, train
 from .pruning import Mask, prune, rewind, sparsity
-from .reporting import DEFAULT_PHASE_DELTA, detect_phases
+from .reporting import detect_phases
 from .rundir import (
     INIT,
     MASK,
@@ -88,13 +88,13 @@ def _save_round(
 def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchRun:
     """Execute one full run into ``run_dir``, resuming any prior progress.
 
-    The directory is created if needed.  If it already holds a config, its
-    hash must match ``cfg`` exactly; completed rounds are then reused without
-    recomputation and execution continues from the first missing round.
+    Nothing is written until the dataset loads and fits ``cfg.arch``.  If
+    the directory already holds a config, its hash must match ``cfg``
+    exactly; completed rounds are then reused without recomputation and
+    execution continues from the first missing round.
     ``on_round`` (if given) is called with each newly computed RoundMetrics.
     """
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     cfg_hash = cfg.config_hash()
     if is_run_dir(run_dir):
         existing = read_config(run_dir)
@@ -103,13 +103,11 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
                 f"refusing to reuse {run_dir}: it holds run "
                 f"{existing.run_id!r} with a different config"
             )
-    else:
-        write_config(run_dir, cfg)
-    reporting.write_manifest(run_dir, cfg.run_id, cfg_hash)
 
     rounds = completed_rounds(run_dir, cfg_hash)
     done_before = len(rounds)
-    finished = load_manifest(run_dir).finished_at is not None
+    manifest = load_manifest(run_dir)
+    finished = manifest is not None and manifest.finished_at is not None
     if finished and rounds and rounds[-1].sparsity >= cfg.t_end:
         # nothing to train or write: check the last round's files, load nothing
         last = round_dir(run_dir, len(rounds) - 1)
@@ -126,6 +124,10 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
             f"architecture expects input dim {cfg.arch.input_dim}, "
             f"dataset provides {train_clean.dim}"
         )
+    run_dir.mkdir(parents=True, exist_ok=True)
+    if not is_run_dir(run_dir):
+        write_config(run_dir, cfg)
+    reporting.write_manifest(run_dir, cfg.run_id, cfg_hash)
     if cfg.epsilon > 0:
         train_noisy, _ = inject_symmetric_noise(train_clean, cfg.epsilon, cfg.noise_seed)
     else:
@@ -199,8 +201,8 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
 def _as_run(cfg: SketchConfig, rounds: list[RoundMetrics]) -> SketchRun:
     """The SketchRun of ``rounds``, phases detected at the default delta."""
     run = SketchRun(config=cfg, rounds=rounds)
-    if len(rounds) >= 4:
-        run.phase_annotation = detect_phases(run, DEFAULT_PHASE_DELTA)
+    if len(rounds) >= reporting.MIN_PHASE_ROUNDS:
+        run.phase_annotation = detect_phases(run)
     return run
 
 
@@ -229,7 +231,7 @@ def sweep(
     via the resume path, so a killed sweep can simply be rerun.
     """
     if not lambdas or not epsilons or not seeds:
-        raise ValueError("sweep grids must be non-empty")
+        raise ValueError("sweep grids must be non-empty: give at least one lambda, epsilon and seed")
     out_root = Path(out_root)
     combos = [
         (lam, eps, seed) for lam in lambdas for eps in epsilons for seed in seeds

@@ -46,6 +46,7 @@ from sparse_lab import (
     synth_blobs,
     train,
 )
+from sparse_lab.cli import MNIST_FILES
 from sparse_lab.selftest import brute_force_prune, max_relative_gradient_error, random_small_net
 
 
@@ -260,10 +261,6 @@ def test_criterion_5_label_noise_contract():
 # criteria 6 + 7: desk-scale double descent and the L2-regularized pairing
 # --------------------------------------------------------------------------
 
-MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
-               "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
-
-
 def mnist_dir():
     """The configured MNIST directory, or None when none is configured.
 
@@ -275,7 +272,7 @@ def mnist_dir():
     )
     if d is None:
         return None
-    missing = [f for f in MNIST_FILES if not (Path(d) / f).is_file()]
+    missing = [f for f in MNIST_FILES.values() if not (Path(d) / f).is_file()]
     if missing:
         pytest.fail(f"MNIST directory {d} lacks {', '.join(missing)}")
     return Path(d)
@@ -285,12 +282,13 @@ def test_a_configured_mnist_dir_must_hold_every_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("SPARSE_LAB_MNIST_DIR", raising=False)
     assert mnist_dir() is None
-    for name in MNIST_FILES[:3]:
+    *first, last = MNIST_FILES.values()
+    for name in first:
         (tmp_path / name).write_bytes(b"")
     monkeypatch.setenv("SPARSE_LAB_MNIST_DIR", str(tmp_path))
-    with pytest.raises(pytest.fail.Exception, match=MNIST_FILES[3]):
+    with pytest.raises(pytest.fail.Exception, match=last):
         mnist_dir()
-    (tmp_path / MNIST_FILES[3]).write_bytes(b"")
+    (tmp_path / last).write_bytes(b"")
     assert mnist_dir() == tmp_path
 
 
@@ -305,16 +303,12 @@ def descent_pair(tmp_path_factory):
     """
     d = mnist_dir()
     if d is None:
-        pytest.skip(f"criteria 6 and 7 need the MNIST IDX files {', '.join(MNIST_FILES)} "
+        files = ", ".join(MNIST_FILES.values())
+        pytest.skip(f"criteria 6 and 7 need the MNIST IDX files {files} "
                     "in $SPARSE_LAB_MNIST_DIR or ./data/mnist")
     started = time.perf_counter()
     spec = DatasetSpec(
-        kind="idx",
-        train_images=str(d / MNIST_FILES[0]),
-        train_labels=str(d / MNIST_FILES[1]),
-        test_images=str(d / MNIST_FILES[2]),
-        test_labels=str(d / MNIST_FILES[3]),
-        limit=10_000,
+        kind="idx", limit=10_000, **{f: str(d / name) for f, name in MNIST_FILES.items()}
     )
     base = SketchConfig(
         run_id="dd",

@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, exit codes, config files."""
 
+import dataclasses
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sparse_lab import cli_main, save_idx
+from sparse_lab import DatasetSpec, SketchConfig, TrainConfig, cli, cli_main, save_idx, sketch
 from sparse_lab.reporting import parse_metrics_csv
 
 
@@ -76,6 +80,19 @@ class TestSketchCommand:
                      "--test-images", "/nonexistent/ti", "--test-labels", "/nonexistent/tl"])
         assert cli_main(args) == 2
         assert "runtime failure" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("dataset,flag,value", [
+        ("blobs", "n-per-class", "0"), ("blobs", "train-fraction", "1.5"), ("idx", "limit", "-3"),
+    ])
+    def test_dataset_field_out_of_range_is_config_error(self, tmp_path, capsys, dataset, flag, value):
+        args = sketch_args(tmp_path / "x", dataset=dataset, **{flag: value})
+        if dataset == "idx":
+            args.extend(["--train-images", "a", "--train-labels", "b",
+                         "--test-images", "c", "--test-labels", "d"])
+        assert cli_main(args) == 1
+        assert flag.replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_idx_dataset_end_to_end(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -94,6 +111,60 @@ class TestSketchCommand:
                      "--test-images", str(d / "tei"), "--test-labels", str(d / "tel")])
         assert cli_main(args) == 0
         assert (tmp_path / "run" / "metrics.csv").exists()
+
+
+# sketch flags -> the config hash they must keep (existing run directories resume on it)
+PINNED_CLI_HASHES = [
+    ([], "32db080a1b52c603b6a10fe054088ff7428f8aa67594cda7feed47d99026821b"),
+    (["--dataset", "mnist"], "bfc56ad8f41e5e913832188843b28bbe5b2a6898bf89976924beb6e7f9c73343"),
+    (["--dataset", "mnist", "--data-dir", "d", "--limit", "10000", "--epsilon", "0.5",
+      "--epochs", "30", "--seed", "7"],
+     "44fd09331b9cf6c10ca594e370ac52dfec5d8d23dd3a2a4103570c0d9322b040"),
+    (["--dataset", "idx", "--train-images", "a", "--train-labels", "b", "--test-images", "c",
+      "--test-labels", "d", "--limit", "0"],
+     "0c3adcdcf1e7e6d4597dd998ca4c4c2be5b30c9e4c59dcbd79e02d655a8cf4fe"),
+    (["--n-per-class", "7", "--num-classes", "3", "--dim", "5", "--separation", "1.5",
+      "--train-fraction", "0.6", "--data-seed", "4", "--arch", "5,9,3", "--epochs", "3",
+      "--lr", "0.05", "--momentum", "0.5", "--lambda", "1e-4", "--batch-size", "16",
+      "--milestones", "1,2", "--gamma", "0.5", "--seed", "2", "--epsilon", "0.3",
+      "--noise-seed", "8", "--t-iter", "0.3", "--t-end", "0.95", "--scope", "global",
+      "--run-id", "r"],
+     "0a1d05e8ba395324578f3bf0dfa386e361851746fa241cc5df9e1896b72305b3"),
+]
+
+
+class TestFlagMapping:
+    def test_cli_configs_keep_their_hashes(self, tmp_path, monkeypatch, capsys):
+        hashes = []
+
+        def capture(cfg, run_dir, on_round=None):
+            hashes.append(cfg.config_hash())
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(sketch, "run_sketch", capture)
+        for flags, _ in PINNED_CLI_HASHES:
+            assert cli_main(["sketch", *flags, "--out", str(tmp_path / "x")]) == 2
+        assert hashes == [h for _, h in PINNED_CLI_HASHES]
+
+    def test_every_field_names_a_record_field(self):
+        records = {"": SketchConfig, "train": TrainConfig, "dataset": DatasetSpec}
+        for flag, (_conv, target, _help) in cli.SKETCH_OPTIONS.items():
+            if target is not None:
+                record, _, name = target.rpartition(".")
+                assert name in {f.name for f in dataclasses.fields(records[record])}, flag
+
+    def test_readme_cli_examples_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("sparse-lab ")]
+        assert [argv[0] for argv in commands] == ["sketch", "sketch", "sweep", "probe", "report",
+                                                  "selftest"]
+        for argv in commands:
+            args = cli._build_parser().parse_args(argv)
+            if argv[0] in ("sketch", "sweep"):
+                table = cli.SKETCH_OPTIONS | (cli.SWEEP_EXTRA if argv[0] == "sweep" else {})
+                cli._build_sketch_config(args, table)
 
 
 class TestConfigFile:

@@ -106,6 +106,7 @@ class TestRunSketch:
         )
         with pytest.raises(ValueError, match="input dim"):
             run_sketch(bad, tmp_path / "r")
+        assert not (tmp_path / "r").exists()
 
     def test_noise_applied_to_train_only(self, tmp_path):
         from sparse_lab import evaluate, inject_symmetric_noise, load_dataset
@@ -316,6 +317,17 @@ class TestResume:
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
                (tmp_path / "b" / "metrics.csv").read_bytes()
         assert json.loads(manifest.read_text())["finished_at"] is not None
+
+    def test_config_without_manifest_resumes(self, tmp_path):
+        # a kill between writing config.json and manifest.json leaves this
+        cfg = tiny_config()
+        run_sketch(cfg, tmp_path / "a")
+        (tmp_path / "b").mkdir()
+        write_config(tmp_path / "b", cfg)
+        resume(tmp_path / "b")
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
+               (tmp_path / "b" / "metrics.csv").read_bytes()
+        assert json.loads((tmp_path / "b" / "manifest.json").read_text())["finished_at"] is not None
 
     def test_mismatched_config_refused(self, tmp_path):
         run_sketch(tiny_config(seed=5), tmp_path / "r")
