@@ -4,8 +4,8 @@ A ``sketch`` or ``sweep`` flag sets one field of ``SketchConfig``,
 ``TrainConfig`` or ``DatasetSpec``; those records own every default and
 every valid range, and the CLI owns only the four ``CLI_DEFAULTS``.  Options
 may come from a flat key=value config file (keys match the long flag names);
-explicit command-line flags override file values.  Exit codes: 0 success,
-1 configuration error, 2 runtime failure.
+explicit command-line flags override file values; no flag is abbreviated.
+Exit codes (set by ``cli_main`` alone): 0 success, 1 ``ConfigError``, 2 other.
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ from . import probes, reporting, selftest, sketch
 from .nn import MlpArchitecture, TrainConfig
 from .pruning import PruneScope
 from .rundir import DatasetSpec, SketchConfig, is_run_dir
-from .util import derive_seed
-
-
-class ConfigError(ValueError):
-    """Bad flag value, bad config file, or inconsistent options."""
+from .util import ConfigError, derive_seed
 
 
 def _int_list(s: str) -> list[int]:
@@ -93,7 +89,10 @@ MNIST_FILES = {
     "test_labels": "t10k-labels-idx1-ubyte",
 }
 
-SWEEP_EXTRA: dict[str, tuple] = {
+# sweep sets lambda, epsilon and seed in every cell from its three grids
+SWEEP_OPTIONS: dict[str, tuple] = {
+    k: v for k, v in SKETCH_OPTIONS.items() if k not in ("lambda", "epsilon", "seed")
+} | {
     "lambdas": (_float_list, None, "comma-separated L2 coefficients"),
     "epsilons": (_float_list, None, "comma-separated label-noise fractions"),
     "seeds": (_int_list, None, "comma-separated training seeds"),
@@ -167,13 +166,10 @@ def _build_sketch_config(args: argparse.Namespace, table: dict) -> tuple[dict, S
             fields[record][name] = opts[key]
     if kind == "mnist":
         fields["dataset"] |= {f: str(Path(opts["data-dir"]) / name) for f, name in MNIST_FILES.items()}
-    try:
-        spec = DatasetSpec(kind="blobs" if kind == "blobs" else "idx", **fields["dataset"])
-        default_arch = [spec.dim, 64, 32, spec.num_classes] if kind == "blobs" else [784, 300, 100, 10]
-        return opts, SketchConfig(arch=MlpArchitecture(opts.get("arch", default_arch)),
-                                  train=TrainConfig(**fields["train"]), dataset=spec, **fields[""])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = DatasetSpec(kind="blobs" if kind == "blobs" else "idx", **fields["dataset"])
+    default_arch = [spec.dim, 64, 32, spec.num_classes] if kind == "blobs" else [784, 300, 100, 10]
+    return opts, SketchConfig(arch=MlpArchitecture(opts.get("arch", default_arch)),
+                              train=TrainConfig(**fields["train"]), dataset=spec, **fields[""])
 
 
 def _cmd_sketch(args: argparse.Namespace) -> int:
@@ -184,12 +180,9 @@ def _cmd_sketch(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    opts, base_cfg = _build_sketch_config(args, {**SKETCH_OPTIONS, **SWEEP_EXTRA})
+    opts, base_cfg = _build_sketch_config(args, SWEEP_OPTIONS)
     grids = [opts.get(key, []) for key in ("lambdas", "epsilons", "seeds")]  # sweep refuses []
-    try:
-        runs = sketch.sweep(base_cfg, *grids, opts["out"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    runs = sketch.sweep(base_cfg, *grids, opts["out"])
     print(f"sweep complete: {len(runs)} runs under {opts['out']}")
     for run in runs:
         final = run.rounds[-1]
@@ -231,10 +224,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     runs = [reporting.load_run(d) for d in run_dirs]
     metrics = [m.strip() for m in args.metrics.split(",")] if args.metrics else ["test_acc"]
-    try:
-        reporting.check_curves(runs, metrics)  # before anything is written
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    reporting.check_curves(runs, metrics)  # before anything is written
 
     probes_by_run = {}
     for run, d in zip(runs, run_dirs):
@@ -290,18 +280,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sketch = sub.add_parser("sketch", help="run one prune/rewind/retrain sweep")
+    p_sketch = sub.add_parser("sketch", allow_abbrev=False, help="run one prune/rewind/retrain sweep")
     _add_table_options(p_sketch, SKETCH_OPTIONS)
 
-    p_sweep = sub.add_parser("sweep", help="run a lambda x epsilon x seed grid")
-    _add_table_options(p_sweep, {**SKETCH_OPTIONS, **SWEEP_EXTRA})
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="run a lambda x epsilon x seed grid")
+    _add_table_options(p_sweep, SWEEP_OPTIONS)
 
-    p_probe = sub.add_parser("probe", help="measure excess output along a finished run")
+    p_probe = sub.add_parser("probe", allow_abbrev=False,
+                             help="measure excess output along a finished run")
     p_probe.add_argument("--run", required=True, help="run directory")
     p_probe.add_argument("--probe-size", type=int, default=probes.PROBE_BATCH_SIZE,
                          help="probe batch size (default %(default)s)")
 
-    p_report = sub.add_parser("report", help="regenerate metrics.csv, curves, and phase reports")
+    p_report = sub.add_parser("report", allow_abbrev=False,
+                              help="regenerate metrics.csv, curves, and phase reports")
     p_report.add_argument("--run", action="append", help="run directory (repeatable)")
     p_report.add_argument("--sweep", default=None, help="directory containing run directories")
     p_report.add_argument("--out", default=None, help="where to write curve files")
@@ -309,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--delta", type=float, default=reporting.DEFAULT_PHASE_DELTA,
                           help="phase-detection threshold in accuracy percentage points")
 
-    sub.add_parser("selftest", help="run the built-in gradient and prune checks")
+    sub.add_parser("selftest", allow_abbrev=False, help="run the built-in gradient and prune checks")
 
     for cmd, fn in (("sketch", _cmd_sketch), ("sweep", _cmd_sweep), ("probe", _cmd_probe),
                     ("report", _cmd_report), ("selftest", _cmd_selftest)):

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .util import derive_seed
+from .util import MAX_SEED, ConfigError, derive_seed
 
 if TYPE_CHECKING:
     from .data import LabeledDataset
@@ -114,9 +114,9 @@ class MlpArchitecture:
     def __init__(self, layer_sizes) -> None:
         sizes = tuple(int(s) for s in layer_sizes)
         if len(sizes) < 2:
-            raise ValueError("architecture needs at least input and output sizes")
+            raise ConfigError("architecture needs at least input and output sizes")
         if any(s < 1 for s in sizes):
-            raise ValueError(f"all layer sizes must be >= 1, got {sizes}")
+            raise ConfigError(f"all layer sizes must be >= 1, got {sizes}")
         object.__setattr__(self, "layer_sizes", sizes)
 
     @property
@@ -163,24 +163,24 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+            raise ConfigError("epochs must be >= 0")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+            raise ConfigError("momentum must be in [0, 1)")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ConfigError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.lr_gamma <= 0:
-            raise ValueError("lr_gamma must be positive")
-        if not 0 <= self.seed <= 2**64 - 1:
-            raise ValueError("seed must fit in unsigned 64 bits")
+            raise ConfigError("batch_size must be >= 1")
+        if not 0 < self.lr_gamma < np.inf:
+            raise ConfigError(f"lr_gamma must be positive and finite, got {self.lr_gamma}")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError("seed must fit in unsigned 64 bits")
         ms = tuple(int(m) for m in self.lr_milestones)
         if any(b <= a for a, b in zip(ms, ms[1:])):
-            raise ValueError("lr_milestones must be strictly increasing")
+            raise ConfigError("lr_milestones must be strictly increasing")
         if ms and self.epochs and ms[-1] >= self.epochs:
-            raise ValueError("lr_milestones must be < epochs")
+            raise ConfigError("lr_milestones must be < epochs")
         object.__setattr__(self, "lr_milestones", ms)
 
 

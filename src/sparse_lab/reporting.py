@@ -32,7 +32,7 @@ from .rundir import (
     write_atomic,
     write_json,
 )
-from .util import TOOL_VERSION, fmt_num, fmt_sig17
+from .util import TOOL_VERSION, ConfigError, fmt_num, fmt_sig17
 
 DEFAULT_PHASE_DELTA = 1.0  # accuracy percentage points
 MIN_PHASE_ROUNDS = 4  # the fewest rounds detect_phases reads
@@ -158,14 +158,14 @@ def reemit_metrics_csv(rows: list[dict], path: str | Path) -> None:
 
 
 def check_curves(runs: list[SketchRun], metrics: list[str]) -> None:
-    """Raise ValueError for a curve request that ``emit_curves`` would refuse."""
+    """Raise ConfigError for a curve request that ``emit_curves`` would refuse."""
     for metric in metrics:
         if metric not in CURVE_METRICS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown metric {metric!r}; valid metrics: {', '.join(CURVE_METRICS)}"
             )
     if len({run.config.dataset for run in runs}) > 1:
-        raise ValueError("curve overlays require all runs to share one dataset")
+        raise ConfigError("curve overlays require all runs to share one dataset")
 
 
 def emit_curves(

@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import re
 import shutil
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .nn import EpochMetrics, MlpArchitecture, TrainConfig
 from .pruning import PruneScope
+from .util import MAX_SEED, ConfigError
 
 CONFIG = "config.json"
 MANIFEST = "manifest.json"
@@ -39,6 +42,7 @@ PHASE = "phase.json"
 PARAMS = "params.bin"
 MASK = "mask.bin"
 ROUND_METRICS = "metrics.json"  # the commit marker of a round
+RUN_ID_PATTERN = r"[A-Za-z0-9][A-Za-z0-9._-]*"  # names a sweep cell's directory, unquoted in CSV
 
 
 class CheckpointError(ValueError):
@@ -52,7 +56,8 @@ class DatasetSpec:
     Each kind reads and checks only its own fields.  ``idx`` reads the four
     file paths (non-empty) and ``limit`` (None for the whole training set,
     else >= 1); ``blobs`` reads ``n_per_class``, ``num_classes`` and ``dim``
-    (each >= 1), ``separation``, ``train_fraction`` (in (0, 1)) and ``data_seed``.
+    (each >= 1), ``separation`` (finite), ``train_fraction`` (in (0, 1)) and
+    ``data_seed`` (unsigned 64-bit).
     """
 
     kind: str  # "idx" | "blobs"
@@ -72,16 +77,20 @@ class DatasetSpec:
         if self.kind == "idx":
             paths = (self.train_images, self.train_labels, self.test_images, self.test_labels)
             if not all(paths):
-                raise ValueError("dataset kind idx needs all four IDX file paths")
+                raise ConfigError("dataset kind idx needs all four IDX file paths")
             if self.limit is not None and self.limit < 1:
-                raise ValueError(f"limit must be None or >= 1, got {self.limit}")
+                raise ConfigError(f"limit must be None or >= 1, got {self.limit}")
         elif self.kind == "blobs":
             if min(self.n_per_class, self.num_classes, self.dim) < 1:
-                raise ValueError("n_per_class, num_classes and dim must be >= 1")
+                raise ConfigError("n_per_class, num_classes and dim must be >= 1")
+            if not math.isfinite(self.separation):
+                raise ConfigError(f"separation must be finite, got {self.separation}")
             if not 0.0 < self.train_fraction < 1.0:
-                raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+                raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+            if not 0 <= self.data_seed <= MAX_SEED:
+                raise ConfigError(f"data_seed must fit in unsigned 64 bits, got {self.data_seed}")
         else:
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
+            raise ConfigError(f"unknown dataset kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -99,14 +108,16 @@ class SketchConfig:
     noise_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.run_id:
-            raise ValueError("run_id must be non-empty")
+        if not re.fullmatch(RUN_ID_PATTERN, self.run_id):
+            raise ConfigError(f"run_id must match {RUN_ID_PATTERN}, got {self.run_id!r}")
         if not 0.0 < self.t_iter < 1.0:
-            raise ValueError("t_iter must be in (0, 1)")
+            raise ConfigError("t_iter must be in (0, 1)")
         if not 0.0 < self.t_end < 1.0:
-            raise ValueError("t_end must be in (0, 1)")
+            raise ConfigError("t_end must be in (0, 1)")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
+            raise ConfigError("epsilon must be in [0, 1]")
+        if not 0 <= self.noise_seed <= MAX_SEED:
+            raise ConfigError(f"noise_seed must fit in unsigned 64 bits, got {self.noise_seed}")
 
     def config_hash(self) -> str:
         canonical = json.dumps(_config_dict(self), sort_keys=True, separators=(",", ":"))

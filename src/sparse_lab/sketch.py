@@ -43,7 +43,7 @@ from .rundir import (
     round_dir,
     write_config,
 )
-from .util import derive_seed
+from .util import ConfigError, derive_seed
 
 
 def load_dataset(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
@@ -227,30 +227,23 @@ def sweep(
     """Run the Cartesian product of L2 coefficients, noise levels, and seeds.
 
     Each combination gets run id ``<base>-lam<l>-eps<e>-s<seed>`` and its own
-    directory under ``out_root``.  Already-finished combinations are reused
-    via the resume path, so a killed sweep can simply be rerun.
+    directory under ``out_root``.  All cells are checked before the first runs,
+    so a bad grid raises ConfigError with nothing written.  Finished cells are
+    reused via the resume path, so a killed sweep can simply be rerun.
     """
     if not lambdas or not epsilons or not seeds:
-        raise ValueError("sweep grids must be non-empty: give at least one lambda, epsilon and seed")
-    out_root = Path(out_root)
-    combos = [
-        (lam, eps, seed) for lam in lambdas for eps in epsilons for seed in seeds
-    ]
-    run_ids = [
-        f"{base_cfg.run_id}-lam{_grid_tag(lam)}-eps{_grid_tag(eps)}-s{seed}"
-        for lam, eps, seed in combos
-    ]
-    dupes = {r for r in run_ids if run_ids.count(r) > 1}
-    if dupes:
-        raise ValueError(f"duplicate run ids in sweep grid: {sorted(dupes)}")
-
-    runs = []
-    for run_id, (lam, eps, seed) in zip(run_ids, combos):
-        cfg = replace(
+        raise ConfigError("sweep grids must be non-empty: give at least one lambda, epsilon and seed")
+    cells = [
+        replace(
             base_cfg,
-            run_id=run_id,
+            run_id=f"{base_cfg.run_id}-lam{_grid_tag(lam)}-eps{_grid_tag(eps)}-s{seed}",
             train=replace(base_cfg.train, weight_decay=lam, seed=seed),
             epsilon=eps,
         )
-        runs.append(run_sketch(cfg, out_root / run_id))
-    return runs
+        for lam in lambdas for eps in epsilons for seed in seeds
+    ]
+    run_ids = [cfg.run_id for cfg in cells]
+    dupes = {r for r in run_ids if run_ids.count(r) > 1}
+    if dupes:
+        raise ConfigError(f"duplicate run ids in sweep grid: {sorted(dupes)}")
+    return [run_sketch(cfg, Path(out_root) / cfg.run_id) for cfg in cells]

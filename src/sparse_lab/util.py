@@ -1,4 +1,4 @@
-"""Shared helpers: deterministic seed derivation and exact decimal formatting."""
+"""Shared helpers: the configuration error, seed derivation and exact decimal formatting."""
 
 from __future__ import annotations
 
@@ -7,6 +7,10 @@ import struct
 
 TOOL_VERSION = "0.1.0"
 MAX_SEED = 2**64 - 1
+
+
+class ConfigError(ValueError):
+    """A value that a configuration record or a command-line option rejects."""
 
 
 def derive_seed(base: int, *parts: int | str) -> int:

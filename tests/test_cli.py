@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, config files."""
 
 import dataclasses
+import json
 import shlex
 from pathlib import Path
 
@@ -9,10 +10,14 @@ import pytest
 
 from sparse_lab import DatasetSpec, SketchConfig, TrainConfig, cli, cli_main, save_idx, sketch
 from sparse_lab.reporting import parse_metrics_csv
+from sparse_lab.rundir import CheckpointError, completed_rounds, read_config
 
 
-def sketch_args(out, dataset="blobs", **overrides):
-    """sketch argv; the blobs shape flags only when the dataset is blobs."""
+def sketch_args(out, dataset="blobs", command="sketch", **overrides):
+    """sketch or sweep argv; the blobs shape flags only when the dataset is blobs.
+
+    sweep gets no --seed: its --seeds grid sets every cell's seed.
+    """
     base = {"dataset": dataset}
     if dataset == "blobs":
         base.update({"dim": "8", "num-classes": "4", "n-per-class": "30", "separation": "3"})
@@ -25,10 +30,15 @@ def sketch_args(out, dataset="blobs", **overrides):
         "out": str(out),
     })
     base.update(overrides)
-    args = ["sketch"]
+    if command == "sweep":
+        del base["seed"]
+    args = [command]
     for key, value in base.items():
         args.extend([f"--{key}", value])
     return args
+
+
+GRID = ["--lambdas", "0", "--epsilons", "0", "--seeds", "1"]  # one sweep cell
 
 
 class TestSketchCommand:
@@ -54,8 +64,8 @@ class TestSketchCommand:
     def test_delta_is_not_a_training_option(self, tmp_path, capsys):
         # run_sketch always detects phases at the default delta; `report --delta` sets it
         assert cli_main(sketch_args(tmp_path / "x", delta="2")) == 1
-        sweep = ["sweep"] + sketch_args(tmp_path / "g", delta="2")[1:]
-        assert cli_main(sweep + ["--lambdas", "0", "--epsilons", "0", "--seeds", "1"]) == 1
+        sweep = sketch_args(tmp_path / "g", command="sweep", delta="2")
+        assert cli_main(sweep + GRID) == 1
         assert "--delta" in capsys.readouterr().err
         assert not (tmp_path / "x").exists() and not (tmp_path / "g").exists()
 
@@ -65,8 +75,8 @@ class TestSketchCommand:
     ])
     def test_flag_the_dataset_never_reads_is_config_error(self, tmp_path, capsys, dataset, flag):
         assert cli_main(sketch_args(tmp_path / "x", dataset=dataset, **{flag: "5"})) == 1
-        sweep = ["sweep"] + sketch_args(tmp_path / "g", dataset=dataset, **{flag: "5"})[1:]
-        assert cli_main(sweep + ["--lambdas", "0", "--epsilons", "0", "--seeds", "1"]) == 1
+        sweep = sketch_args(tmp_path / "g", dataset=dataset, command="sweep", **{flag: "5"})
+        assert cli_main(sweep + GRID) == 1
         assert capsys.readouterr().err.count(f"does not read --{flag}") == 2
         assert not (tmp_path / "x").exists() and not (tmp_path / "g").exists()
 
@@ -163,7 +173,7 @@ class TestFlagMapping:
         for argv in commands:
             args = cli._build_parser().parse_args(argv)
             if argv[0] in ("sketch", "sweep"):
-                table = cli.SKETCH_OPTIONS | (cli.SWEEP_EXTRA if argv[0] == "sweep" else {})
+                table = cli.SWEEP_OPTIONS if argv[0] == "sweep" else cli.SKETCH_OPTIONS
                 cli._build_sketch_config(args, table)
 
 
@@ -211,7 +221,7 @@ class TestConfigFile:
 
 class TestSweepCommand:
     def test_grid_runs_and_reports(self, tmp_path, capsys):
-        args = ["sweep"] + sketch_args(tmp_path / "grid")[1:]
+        args = sketch_args(tmp_path / "grid", command="sweep")
         args.extend(["--lambdas", "0,0.0001", "--epsilons", "0.1", "--seeds", "3"])
         assert cli_main(args) == 0
         out = capsys.readouterr().out
@@ -220,9 +230,66 @@ class TestSweepCommand:
         assert (tmp_path / "grid" / "cli-test-lam0.0001-eps0.1-s3" / "metrics.csv").exists()
 
     def test_empty_grid_config_error(self, tmp_path, capsys):
-        args = ["sweep"] + sketch_args(tmp_path / "grid")[1:]
+        args = sketch_args(tmp_path / "grid", command="sweep")
         args.extend(["--lambdas", "", "--epsilons", "0.1", "--seeds", "1"])
         assert cli_main(args) == 1
+
+
+class TestConfigBoundary:
+    """Exit 1 with nothing written when a record rejects a value; exit 2 after that."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("t-iter", "1.5"), ("lr", "nan"), ("lr", "inf"), ("gamma", "inf"), ("lambda", "inf"),
+        ("lambda", "nan"), ("separation", "nan"), ("separation", "inf"), ("noise-seed", "-1"),
+    ])
+    def test_rejected_value_exits_one_under_sketch_and_sweep(self, tmp_path, capsys, flag, value):
+        assert cli_main(sketch_args(tmp_path / "x", **{flag: value})) == 1
+        if flag == "lambda":  # sweep takes lambda only from its grid
+            sweep = sketch_args(tmp_path / "g", command="sweep") + GRID[2:] + ["--lambdas", value]
+        else:
+            sweep = sketch_args(tmp_path / "g", command="sweep", **{flag: value}) + GRID
+        assert cli_main(sweep) == 1
+        assert "runtime failure" not in capsys.readouterr().err
+        assert not (tmp_path / "x").exists() and not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("run_id", ["a,b", "a/b", "..", ".hidden", "../../esc"])
+    def test_run_id_must_be_a_plain_name(self, tmp_path, capsys, run_id):
+        out = tmp_path / "work" / "out"
+        assert cli_main(sketch_args(out, **{"run-id": run_id})) == 1
+        assert cli_main(sketch_args(out, command="sweep", **{"run-id": run_id}) + GRID) == 1
+        assert capsys.readouterr().err.count("run_id") == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_runtime_failure_in_a_cell_exits_two(self, tmp_path, capsys):
+        # the data's 8 features do not fit a 4-input network: found only when the data loads
+        assert cli_main(sketch_args(tmp_path / "x", arch="4,3,10")) == 2
+        assert cli_main(sketch_args(tmp_path / "g", command="sweep", arch="4,3,10") + GRID) == 2
+        assert capsys.readouterr().err.count("runtime failure: architecture expects input dim 4") == 2
+
+    def test_bad_cell_refused_before_any_cell_runs(self, tmp_path, capsys):
+        args = sketch_args(tmp_path / "g", command="sweep")
+        assert cli_main(args + ["--lambdas", "0,-1", "--epsilons", "0", "--seeds", "1"]) == 1
+        assert "weight_decay" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("flag,value", [("lambda", "0.5"), ("epsilon", "0.3"), ("seed", "5")])
+    def test_sweep_takes_lambda_epsilon_seed_only_from_its_grids(self, tmp_path, capsys, flag, value):
+        # without --{flag}s, a prefix match would read --{flag} as --{flag}s
+        rest, at = list(GRID), GRID.index(f"--{flag}s")
+        del rest[at:at + 2]
+        assert cli_main(sketch_args(tmp_path / "g", command="sweep") + rest + [f"--{flag}", value]) == 1
+        assert f"--{flag}" in capsys.readouterr().err
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(f"{flag} = {value}\n")
+        args = sketch_args(tmp_path / "g", command="sweep") + GRID + ["--config", str(cfg_file)]
+        assert cli_main(args) == 1
+        assert repr(flag) in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    def test_flags_are_not_abbreviated(self, tmp_path, capsys):
+        assert cli_main(sketch_args(tmp_path / "x")[:-2] + ["--ou", str(tmp_path / "x")]) == 1
+        assert "--ou" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestProbeAndReport:
@@ -290,6 +357,22 @@ class TestProbeAndReport:
         assert "--delta" in capsys.readouterr().err
         assert (run_dir / "phase.json").read_bytes() == phase
         assert not (run_dir / "pairs.txt").exists()
+
+    @pytest.mark.parametrize("damage,error,message", [
+        ("config_hash", ValueError, "round 1: checkpoint belongs to a different config"),
+        ("torn", CheckpointError, "round 1: unreadable metrics"),
+    ])
+    def test_damaged_round_metrics_refused(self, run_dir, capsys, damage, error, message):
+        path = run_dir / "round_001" / "metrics.json"
+        if damage == "torn":
+            path.write_bytes(path.read_bytes()[:40])
+        else:
+            path.write_text(json.dumps(json.loads(path.read_text()) | {"config_hash": "0" * 64}))
+        with pytest.raises(error, match=message):
+            completed_rounds(run_dir, read_config(run_dir).config_hash())
+        assert cli_main(["probe", "--run", str(run_dir)]) == 2
+        assert cli_main(["report", "--run", str(run_dir)]) == 2
+        assert capsys.readouterr().err.count(f"runtime failure: {message}") == 2
 
     def test_probe_then_report_keeps_probe_column(self, run_dir):
         assert cli_main(["probe", "--run", str(run_dir)]) == 0

@@ -31,6 +31,7 @@ from sparse_lab import (
 from sparse_lab.checkpoint import CheckpointError, save_params
 from sparse_lab.reporting import write_phase_report
 from sparse_lab.rundir import read_config, write_config
+from sparse_lab.util import ConfigError
 
 
 def tiny_config(run_id="t", epochs=1, t_iter=0.2, t_end=0.9, epsilon=0.0, seed=5, weight_decay=0.0):
@@ -248,6 +249,40 @@ class TestResume:
                (tmp_path / "b" / "metrics.csv").read_bytes()
         assert not list((tmp_path / "b").rglob("*.tmp"))
 
+    def test_kill_while_saving_a_mask_then_resume_reclaims_the_round(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        run_sketch(cfg, tmp_path / "a")
+
+        real_save = sketch_mod.save_tensors
+
+        def killed_in_round_3(path, tensors):
+            if path.parent.name == "round_003":
+                # a real kill skips write_atomic's clean-up and leaves the temp file
+                path.with_name(path.name + ".tmp").write_bytes(b"torn")
+                raise KeyboardInterrupt("simulated kill while saving round 3's mask")
+            return real_save(path, tensors)
+
+        monkeypatch.setattr(sketch_mod, "save_tensors", killed_in_round_3)
+        with pytest.raises(KeyboardInterrupt):
+            run_sketch(cfg, tmp_path / "b")
+        monkeypatch.setattr(sketch_mod, "save_tensors", real_save)
+        partial = tmp_path / "b" / "round_003"
+        assert sorted(p.name for p in partial.iterdir()) == ["mask.bin.tmp", "params.bin"]
+
+        real_discard = sketch_mod.discard_partial_round
+        reclaimed = []
+
+        def watched_discard(run_dir, k):
+            real_discard(run_dir, k)
+            reclaimed.append((k, partial.exists()))
+
+        monkeypatch.setattr(sketch_mod, "discard_partial_round", watched_discard)
+        resume(tmp_path / "b")
+        assert reclaimed == [(3, False)]
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
+               (tmp_path / "b" / "metrics.csv").read_bytes()
+        assert not list((tmp_path / "b").rglob("*.tmp"))
+
     def test_readers_leave_a_round_in_progress_alone(self, tmp_path):
         run = run_sketch(tiny_config(), tmp_path / "r")
         in_progress = tmp_path / "r" / f"round_{len(run.rounds):03d}"
@@ -384,6 +419,12 @@ class TestSweep:
     def test_duplicate_grid_values_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate"):
             sweep(tiny_config(), [0.0, 0.0], [0.1], [1], tmp_path)
+
+    @pytest.mark.parametrize("lambdas,seeds", [([0.0, -1.0], [1]), ([0.0, math.nan], [1]), ([0.0], [1, -2])])
+    def test_bad_cell_refused_before_any_cell_runs(self, tmp_path, lambdas, seeds):
+        with pytest.raises(ConfigError):
+            sweep(tiny_config(), lambdas, [0.1], seeds, tmp_path / "g")
+        assert not (tmp_path / "g").exists()
 
     def test_rerunning_sweep_reuses_finished_runs(self, tmp_path):
         cfg = tiny_config("re", t_end=0.5)
