@@ -22,6 +22,7 @@ records carry no encoding byte or count and are all dense, still load.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -82,8 +83,12 @@ def _set_entries(path: Path, name: str, packed: bytes, numel: int, count: int) -
     return bits[:numel].view(bool)
 
 
-def _read_tensors(path: str | Path, payloads: bool) -> dict[str, np.ndarray | None]:
-    """Parse a checkpoint, reading each payload or seeking past it."""
+def _read_tensors(path: str | Path, target) -> list[tuple[str, tuple[int, ...]]]:
+    """Parse a checkpoint; return its records' (name, shape) in file order.
+
+    ``target(name, shape)`` gives the flat float64 array a record's values
+    are decoded into, or None to seek past the payload unread.
+    """
     path = Path(path)
     try:
         f = open(path, "rb")
@@ -106,7 +111,7 @@ def _read_tensors(path: str | Path, payloads: bool) -> dict[str, np.ndarray | No
         if version not in (1, VERSION):
             raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
 
-        tensors: dict[str, np.ndarray | None] = {}
+        layout: list[tuple[str, tuple[int, ...]]] = []
         for _ in range(count):
             (name_len,) = struct.unpack("<H", take(2, "name length"))
             name = take(name_len, "name").decode("utf-8")
@@ -123,37 +128,45 @@ def _read_tensors(path: str | Path, payloads: bool) -> dict[str, np.ndarray | No
                 raise CheckpointError(
                     f"{name!r} in {path} stores {stored} values for {numel} entries"
                 )
-            skip = not payloads
+            layout.append((name, shape))
+            out = target(name, shape)
+            skip = out is None
             if encoding == DENSE:
                 values = take(8 * numel, f"payload of {name!r}", skip)
             else:
                 packed = take(-(-numel // 8), f"bitmap of {name!r}", skip)
                 if encoding == SPARSE:
                     values = take(8 * stored, f"values of {name!r}", skip)
-            if not payloads:
-                tensors[name] = None
-            elif encoding == DENSE:
-                tensors[name] = np.frombuffer(values, dtype="<f8").reshape(shape).copy()
+            if skip:
+                continue
+            if encoding == DENSE:
+                out[...] = np.frombuffer(values, dtype="<f8")
             else:
                 nonzero = _set_entries(path, name, packed, numel, stored)
                 if encoding == BINARY:
-                    out = nonzero.astype(np.float64)
+                    out[...] = nonzero
                 else:
-                    out = np.zeros(numel)
+                    out[...] = 0.0
                     out[np.flatnonzero(nonzero)] = np.frombuffer(values, dtype="<f8")
-                tensors[name] = out.reshape(shape)
         if f.tell() != size:
             raise CheckpointError(f"trailing bytes in checkpoint {path}")
-    return tensors
+    return layout
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    return _read_tensors(path, payloads=True)
+    tensors: dict[str, np.ndarray] = {}
+
+    def target(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        tensors[name] = np.empty(shape)
+        return tensors[name].reshape(-1)
+
+    _read_tensors(path, target)
+    return tensors
 
 
 def verify_tensors(path: str | Path) -> None:
     """Raise CheckpointError unless the file parses as a checkpoint; payloads are not read."""
-    _read_tensors(path, payloads=False)
+    _read_tensors(path, lambda name, shape: None)
 
 
 def save_params(path: str | Path, params: ParamSet) -> None:
@@ -163,11 +176,19 @@ def save_params(path: str | Path, params: ParamSet) -> None:
 def load_params(path: str | Path) -> ParamSet:
     """Rebuild a ParamSet from its names, shapes and values.
 
-    Every nonzero, NaN and infinite value comes back bit for bit.  A zero
-    stored in a sparse record, such as a pruned weight, comes back as +0.0
-    whatever its sign was when saved.
+    A first pass reads the layout, so the values are decoded straight into
+    the ParamSet's one buffer.  Every nonzero, NaN and infinite value comes
+    back bit for bit.  A zero stored in a sparse record, such as a pruned
+    weight, comes back as +0.0 whatever its sign was when saved.
     """
-    params = ParamSet()
-    for name, arr in load_tensors(path).items():
-        params.add(name, arr)
+    layout = _read_tensors(path, lambda name, shape: None)
+    params = ParamSet.on_buffer(np.empty(sum(math.prod(s) for _, s in layout)), layout)
+
+    def target(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if (name, shape) not in layout:
+            raise CheckpointError(f"{path} changed while it was read")
+        return params[name].reshape(-1)
+
+    if _read_tensors(path, target) != layout:
+        raise CheckpointError(f"{path} changed while it was read")
     return params

@@ -7,14 +7,20 @@ The public forward, gradient and evaluation functions take a binary mask and
 apply it, so pruned weights contribute exactly zero and receive exactly zero
 gradient whatever the stored values are.
 
+A network lives in one buffer: every ``ParamSet`` entry is a view of one
+flat float64 array, and ``OptimizerState`` holds the velocities and a
+gradient scratch in two more arrays of the same layout, made once per run.
+
 ``train`` pays for masking once per call instead of once per step.  It zeroes
 the off-mask weights and velocities, after which they stay exactly 0: the
 forward and backward passes run unmasked (``w * mask`` would equal ``w`` bit
-for bit), and the update touches only surviving positions of tensors with
-at least ``SURVIVOR_UPDATE_MIN_SIZE`` positions and a density below
-``SURVIVOR_UPDATE_BELOW``.  Surviving positions come out bitwise
-equal to a loop of the masked ``loss_and_grad`` + ``sgd_step``, and off-mask
-positions are 0 in both.
+for bit), in place in buffers kept for the run, and write the gradients
+straight into the scratch.  The update then covers the whole network in at
+most one dense pass over a slice of the buffers and one gather and scatter
+of the survivors of tensors with at least ``SURVIVOR_UPDATE_MIN_SIZE``
+positions and a density below ``SURVIVOR_UPDATE_BELOW`` (see ``StepPlan``).
+Surviving positions come out bitwise equal to a loop of the masked
+``loss_and_grad`` + ``sgd_step``, and off-mask positions are 0 in both.
 
 All tensors are C-contiguous float64; all randomness flows through
 numpy PCG64 generators seeded explicitly, so identical inputs give
@@ -23,6 +29,7 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -36,32 +43,85 @@ if TYPE_CHECKING:
 
 
 class ParamSet:
-    """Ordered, named collection of parameter tensors.
+    """Ordered, named collection of parameter tensors, all views of one buffer.
 
-    Entries keep insertion order.  Prunability is the name: a ``*.weight``
-    entry is a prunable weight matrix, anything else (a bias vector) is not.
-    Shapes are fixed at construction.
+    Entries keep insertion order, and so does the buffer: each entry's
+    positions follow the previous entry's, row-major.  The buffer is built at
+    the first access after an ``add``; an array taken from the set before an
+    ``add`` no longer aliases it once the buffer is rebuilt.  Assigning to an
+    entry copies into its view, so views stay valid; ``on_buffer`` lays a set
+    out on a given buffer without copying it.  Prunability is the
+    name: a ``*.weight`` entry is a prunable weight matrix, anything else (a
+    bias vector) is not.  Shapes are fixed at construction.
     """
 
     def __init__(self) -> None:
         self._tensors: dict[str, np.ndarray] = {}
+        self._buffer: np.ndarray | None = None  # None until every entry is a view of it
 
     def add(self, name: str, tensor: np.ndarray) -> None:
         if name in self._tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
         self._tensors[name] = np.ascontiguousarray(tensor, dtype=np.float64)
+        self._buffer = None
+
+    @classmethod
+    def on_buffer(cls, buffer: np.ndarray, shapes: list[tuple[str, tuple[int, ...]]]) -> "ParamSet":
+        """A ParamSet laid out as ``shapes`` whose entries are views of the flat
+        float64 ``buffer``, which it takes over without copying."""
+        out = cls()
+        start = 0
+        for name, shape in shapes:
+            if name in out._tensors:
+                raise ValueError(f"duplicate parameter name {name!r}")
+            stop = start + math.prod(shape)
+            out._tensors[name] = buffer[start:stop].reshape(shape)
+            start = stop
+        if buffer.shape != (start,) or buffer.dtype != np.float64 or not buffer.flags.c_contiguous:
+            raise ValueError(f"need a contiguous float64 buffer of {start} entries, "
+                             f"got {buffer.dtype} of shape {buffer.shape}")
+        out._buffer = buffer
+        return out
+
+    @property
+    def buffer(self) -> np.ndarray:
+        """The flat float64 buffer that every entry is a view of."""
+        if self._buffer is None:
+            self._pack()
+        return self._buffer
+
+    def _pack(self) -> None:
+        """Copy the entries into one new buffer and make them its views."""
+        packed = ParamSet.on_buffer(np.empty(self.total_count()), self.shapes())
+        for name, tensor in self._tensors.items():
+            packed[name][...] = tensor
+        self._tensors, self._buffer = packed._tensors, packed._buffer
+
+    def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """Each entry's view of a flat ``buffer`` laid out like ``self.buffer``."""
+        return ParamSet.on_buffer(buffer, self.shapes())._tensors
+
+    def offsets(self) -> list[tuple[str, int, int]]:
+        """(name, start, stop) of every entry's positions in the buffer, in order."""
+        out, start = [], 0
+        for name, tensor in self._tensors.items():
+            out.append((name, start, start + tensor.size))
+            start += tensor.size
+        return out
 
     def __getitem__(self, name: str) -> np.ndarray:
+        if self._buffer is None:
+            self._pack()
         return self._tensors[name]
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
-        old = self._tensors[name]
-        arr = np.ascontiguousarray(value, dtype=np.float64)
-        if arr.shape != old.shape:
+        view = self[name]
+        arr = np.asarray(value, dtype=np.float64)
+        if arr.shape != view.shape:
             raise ValueError(
-                f"shape of {name!r} is immutable: {old.shape} -> {arr.shape}"
+                f"shape of {name!r} is immutable: {view.shape} -> {arr.shape}"
             )
-        self._tensors[name] = arr
+        view[...] = arr
 
     def __contains__(self, name: str) -> bool:
         return name in self._tensors
@@ -87,20 +147,13 @@ class ParamSet:
         return sum(t.size for t in self._tensors.values())
 
     def copy(self) -> "ParamSet":
-        out = ParamSet()
-        for name, tensor in self._tensors.items():
-            out.add(name, tensor.copy())
-        return out
-
-    def congruent_zeros(self) -> dict[str, np.ndarray]:
-        """Fresh zero tensors matching each entry's shape."""
-        return {n: np.zeros_like(t) for n, t in self._tensors.items()}
+        return ParamSet.on_buffer(self.buffer.copy(), self.shapes())
 
     def equals_bitwise(self, other: "ParamSet") -> bool:
         if self.names() != other.names():
             return False
         return all(
-            np.array_equal(self._tensors[n], other._tensors[n], equal_nan=True)
+            np.array_equal(self[n], other[n], equal_nan=True)
             for n in self._tensors
         )
 
@@ -185,15 +238,43 @@ class TrainConfig:
 
 
 class OptimizerState:
-    """Momentum buffers congruent to a ParamSet, plus a step counter."""
+    """Momentum, a gradient scratch and a step counter for one ParamSet.
+
+    ``velocity`` and ``grads`` map each parameter name to its view of a flat
+    buffer laid out like ``params.buffer``, and both buffers are allocated
+    here, once per run.  ``train`` writes each step's gradients into
+    ``grads``, and ``sgd_step`` updates from there, so a step allocates no
+    parameter-sized array.  With weight decay the update needs one more
+    buffer of that layout for the decay term, made at the first decayed step.
+    ``train``'s batch and activation buffers are kept here too, so that the
+    rounds of a run reuse them instead of allocating and freeing them per call.
+    """
 
     def __init__(self, params: ParamSet) -> None:
-        self.velocity: dict[str, np.ndarray] = params.congruent_zeros()
+        self.velocity_buffer = np.zeros(params.total_count())
+        self.grad_buffer = np.zeros(params.total_count())
+        self.velocity: dict[str, np.ndarray] = params.views(self.velocity_buffer)
+        self.grads: dict[str, np.ndarray] = params.views(self.grad_buffer)
         self.step_count: int = 0
+        self._decay_buffer: np.ndarray | None = None
+        self._passes: _Passes | None = None
+
+    def training_passes(
+        self, layers: list[tuple[np.ndarray, np.ndarray]], rows: int, inputs: int
+    ) -> "_Passes":
+        """``train``'s step buffers, made at its first call and kept while the
+        batch size, the batch width and the layer shapes stay the same."""
+        if self._passes is None or self._passes.key != (rows, inputs, [w.shape for w, _ in layers]):
+            self._passes = _Passes(layers, rows, inputs)
+        return self._passes
+
+    def decay_buffer(self) -> np.ndarray:
+        if self._decay_buffer is None:
+            self._decay_buffer = np.empty_like(self.grad_buffer)
+        return self._decay_buffer
 
     def reset(self) -> None:
-        for v in self.velocity.values():
-            v[...] = 0.0
+        self.velocity_buffer[...] = 0.0
         self.step_count = 0
 
 
@@ -251,30 +332,89 @@ def forward_trace(
     (the logits for the final layer).  The masked weights are built once, by
     ``effective_weights``, before the layers run.
     """
-    return _forward_layers(effective_weights(params, mask), batch)
+    layers = effective_weights(params, mask)
+    batch = _as_batch(batch)
+    return _Passes(layers, batch.shape[0]).forward(layers, batch)
 
 
-def _forward_layers(
-    layers: list[tuple[np.ndarray, np.ndarray]], batch: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """``forward_trace`` on the (weight, bias) list of ``effective_weights``."""
+def _as_batch(batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise ValueError(f"batch must be 2-D [B, D], got shape {batch.shape}")
-    pre: list[np.ndarray] = []
-    acts: list[np.ndarray] = [batch]
-    h = batch
-    for idx, (w, b) in enumerate(layers):
-        if h.shape[1] != w.shape[1]:
-            raise ValueError(
-                f"layer {idx + 1} (fc{idx + 1}) expects input dim {w.shape[1]}, "
-                f"got {h.shape[1]}"
-            )
-        z = h @ w.T + b
-        pre.append(z)
-        h = np.maximum(z, 0.0) if idx < len(layers) - 1 else z
-        acts.append(h)
-    return h, pre, acts
+    return batch
+
+
+class _Passes:
+    """Buffers for the forward and backward passes over up to ``rows`` samples.
+
+    The passes compute into them in place with the operations, in the order,
+    of the plain expressions ``h @ w.T + b``, ``np.maximum(z, 0.0)``,
+    ``delta.T @ h``, ``delta.sum(axis=0)`` and ``(delta @ w) * (z > 0.0)``,
+    so every result is bitwise theirs.  ``layers`` is the (weight, bias) list
+    of ``effective_weights``.
+
+    Given ``inputs``, the width of a batch, they also hold a training step:
+    the batch, its labels and each hidden layer's ReLU gate; the gradient
+    w.r.t. a hidden activation overwrites that activation once the backward
+    pass has used it.  With ``keep_pre`` false each activation overwrites its
+    pre-activation, for callers that want only the logits.
+    """
+
+    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]], rows: int,
+                 inputs: int | None = None, keep_pre: bool = True) -> None:
+        widths = [w.shape[0] for w, _ in layers]
+        self.key = (rows, inputs, [w.shape for w, _ in layers])
+        self.offsets = np.arange(rows) * widths[-1]  # flat index of each row's first logit
+        self.pre = [np.empty((rows, k)) for k in widths]
+        self.post = [np.empty((rows, k)) for k in widths[:-1]] if keep_pre else self.pre[:-1]
+        self.dlogits = np.empty((rows, widths[-1]))
+        if inputs is not None:
+            self.batch = np.empty((rows, inputs))
+            self.labels = np.empty(rows, dtype=np.int64)
+            self.gate = [np.empty((rows, k), dtype=bool) for k in widths[:-1]]
+
+    def forward(
+        self, layers: list[tuple[np.ndarray, np.ndarray]], batch: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """``forward_trace`` of a float64 [B, D] batch, into the buffers."""
+        n = batch.shape[0]
+        pre: list[np.ndarray] = []
+        acts: list[np.ndarray] = [batch]
+        h = batch
+        for idx, (w, b) in enumerate(layers):
+            if h.shape[1] != w.shape[1]:
+                raise ValueError(
+                    f"layer {idx + 1} (fc{idx + 1}) expects input dim {w.shape[1]}, "
+                    f"got {h.shape[1]}"
+                )
+            z = np.matmul(h, w.T, out=self.pre[idx][:n])
+            z += b
+            pre.append(z)
+            h = np.maximum(z, 0.0, out=self.post[idx][:n]) if idx < len(layers) - 1 else z
+            acts.append(h)
+        return h, pre, acts
+
+    def step(
+        self, layers: list[tuple[np.ndarray, np.ndarray]], n: int,
+        grads: list[tuple[np.ndarray, np.ndarray]],
+    ) -> tuple[float, np.ndarray]:
+        """Loss and logits of the first ``n`` rows of ``batch`` and ``labels``
+        (labels already checked), with every layer's (weight, bias) gradient
+        written into ``grads``."""
+        logits, pre, acts = self.forward(layers, self.batch[:n])
+        delta = self.dlogits[:n]
+        loss = _cross_entropy(logits, self.offsets[:n] + self.labels[:n], delta)
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"non-finite loss {loss}")
+        for idx in range(len(layers) - 1, -1, -1):
+            gw, gb = grads[idx]
+            np.matmul(delta.T, acts[idx], out=gw)
+            np.add.reduce(delta, axis=0, out=gb)
+            if idx > 0:
+                below = np.matmul(delta, layers[idx][0], out=acts[idx])
+                below *= np.greater(pre[idx - 1], 0.0, out=self.gate[idx - 1][:n])
+                delta = below
+        return loss, logits
 
 
 def forward(params: ParamSet, mask: "Mask | None", batch: np.ndarray) -> np.ndarray:
@@ -283,57 +423,35 @@ def forward(params: ParamSet, mask: "Mask | None", batch: np.ndarray) -> np.ndar
     return logits
 
 
-def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and its gradient w.r.t. the logits."""
-    n, c = logits.shape
+def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> None:
+    """Raise ValueError unless ``labels`` are n >= 1 class indices in [0, num_classes)."""
     if n == 0:
         raise ValueError("batch must contain at least one sample")
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
-    if labels.min() < 0 or labels.max() >= c:
-        bad = labels[(labels < 0) | (labels >= c)][0]
-        raise ValueError(f"label {bad} out of range [0, {c})")
-    zmax = logits.max(axis=1, keepdims=True)
-    expz = np.exp(logits - zmax)
-    sumexp = expz.sum(axis=1, keepdims=True)
-    lse = np.log(sumexp[:, 0]) + zmax[:, 0]
-    rows = np.arange(n)
-    loss = float(np.mean(lse - logits[rows, labels]))
-    dlogits = expz / sumexp
-    dlogits[rows, labels] -= 1.0
+    if labels.min() < 0 or labels.max() >= num_classes:
+        bad = labels[(labels < 0) | (labels >= num_classes)][0]
+        raise ValueError(f"label {bad} out of range [0, {num_classes})")
+
+
+def _cross_entropy(logits: np.ndarray, picks: np.ndarray, dlogits: np.ndarray) -> float:
+    """Mean softmax cross-entropy of C-contiguous ``logits``; its gradient
+    w.r.t. them goes to ``dlogits``.  ``picks`` holds the flat index of each
+    row's label entry, ``row * num_classes + label``, for labels already
+    checked.  The reductions are the ufunc calls behind ``logits.max``,
+    ``.sum`` and ``np.mean``, so the results are bitwise theirs."""
+    n = logits.shape[0]
+    zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.subtract(logits, zmax, out=dlogits)
+    np.exp(dlogits, out=dlogits)
+    sumexp = np.add.reduce(dlogits, axis=1, keepdims=True)
+    lse = np.log(sumexp[:, 0])
+    lse += zmax[:, 0]
+    lse -= logits.reshape(-1).take(picks)
+    dlogits /= sumexp
+    dlogits.reshape(-1)[picks] -= 1.0
     dlogits /= n
-    return loss, dlogits
-
-
-def _loss_grad_logits(
-    params: ParamSet,
-    mask: "Mask | None",
-    batch: np.ndarray,
-    labels: np.ndarray,
-    pairs: list[tuple[str, str]] | None = None,
-) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    if pairs is None:
-        pairs = _layer_names(params)
-    labels = np.asarray(labels, dtype=np.int64)
-    layers = effective_weights(params, mask, pairs)
-    logits, pre, acts = _forward_layers(layers, batch)
-    loss, delta = _softmax_ce(logits, labels)
-    if not np.isfinite(loss):
-        raise FloatingPointError(f"non-finite loss {loss}")
-
-    grads: dict[str, np.ndarray] = {}
-    for idx in range(len(pairs) - 1, -1, -1):
-        wname, bname = pairs[idx]
-        gw = delta.T @ acts[idx]
-        if mask is not None and wname in mask:
-            gw *= mask[wname]
-        grads[wname] = gw
-        grads[bname] = delta.sum(axis=0)
-        if idx > 0:
-            delta = (delta @ layers[idx][0]) * (pre[idx - 1] > 0.0)
-    # restore parameter order
-    ordered = {n: grads[n] for n in params.names()}
-    return loss, ordered, logits
+    return float(np.add.reduce(lse) / n)
 
 
 def loss_and_grad(
@@ -345,7 +463,20 @@ def loss_and_grad(
     """Mean softmax cross-entropy (excluding any L2 penalty) and exact
     reverse-mode gradients.  Gradients at masked-out positions are exactly 0.
     """
-    loss, grads, _ = _loss_grad_logits(params, mask, batch, labels)
+    pairs = _layer_names(params)
+    layers = effective_weights(params, mask, pairs)
+    batch = _as_batch(batch)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = batch.shape[0]
+    _check_labels(labels, n, layers[-1][0].shape[0])
+    passes = _Passes(layers, n, batch.shape[1])
+    passes.batch[...] = batch
+    passes.labels[...] = labels
+    grads = params.views(np.empty(params.total_count()))
+    loss, _ = passes.step(layers, n, [(grads[w], grads[b]) for w, b in pairs])
+    for wname, _ in pairs:
+        if mask is not None and wname in mask:
+            grads[wname] *= mask[wname]
     return loss, grads
 
 
@@ -368,44 +499,60 @@ SURVIVOR_UPDATE_MIN_SIZE = 8192
 
 
 class StepPlan:
-    """Per-tensor set-up that ``train`` builds once and every ``sgd_step`` reuses.
+    """What every ``sgd_step`` of one ``train`` call updates, worked out once.
 
     A masked weight tensor of at least ``SURVIVOR_UPDATE_MIN_SIZE`` positions
-    and below ``SURVIVOR_UPDATE_BELOW`` density gets its flat survivor indices
-    and compact buffers for the gathered gradient, weight, velocity and decay
-    term; any other one with pruned positions keeps its mask, applied to the
-    gradient.  The dense update's weight-decay buffer is made on first use.
+    and below ``SURVIVOR_UPDATE_BELOW`` density is updated at its survivors
+    only.  Every other tensor is updated at all its positions, with its mask
+    applied to the gradient if it has pruned ones.  The longest stretch of
+    consecutive all-position tensors is one slice of the flat buffers,
+    updated in place: the dense pass.  The survivors, and the all-position
+    tensors outside that stretch, are gathered into compact rows (decayed
+    weights first, then biases), updated there and scattered back: the
+    survivor pass.  ``lr`` holds the learning rate of every epoch.
     """
 
-    def __init__(self, mask: "Mask | None") -> None:
-        self.survivors: dict[str, np.ndarray] = {}
-        self.compact: dict[str, np.ndarray] = {}
-        self.masks: dict[str, np.ndarray] = {}
-        self._decay: dict[str, np.ndarray] = {}
-        for name in mask.names() if mask is not None else ():
-            m = mask[name]
-            alive = np.flatnonzero(m)
-            large = m.size >= SURVIVOR_UPDATE_MIN_SIZE
-            if large and alive.size < SURVIVOR_UPDATE_BELOW * m.size:
-                self.survivors[name] = alive
-                self.compact[name] = np.empty((4, alive.size))
-            elif alive.size < m.size:
-                self.masks[name] = m
+    def __init__(self, params: ParamSet, mask: "Mask | None", cfg: TrainConfig) -> None:
+        self.lr = [effective_lr(cfg, epoch) for epoch in range(cfg.epochs)]
+        whole = []  # (start, stop, decayed, mask or None) of all-position tensors
+        gathered = []  # (buffer positions, decayed, mask or None)
+        for name, start, stop in params.offsets():
+            decayed = params.is_prunable(name)
+            m = mask[name].reshape(-1) if mask is not None and name in mask else None
+            alive = None if m is None else np.flatnonzero(m)
+            if alive is None or alive.size == m.size:
+                whole.append((start, stop, decayed, None))
+            elif m.size >= SURVIVOR_UPDATE_MIN_SIZE and alive.size < SURVIVOR_UPDATE_BELOW * m.size:
+                gathered.append((alive + start, decayed, None))
+            else:
+                whole.append((start, stop, decayed, m))
+        runs: list[list[tuple]] = []  # stretches of whole tensors that follow each other
+        for entry in whole:
+            if runs and runs[-1][-1][1] == entry[0]:
+                runs[-1].append(entry)
+            else:
+                runs.append([entry])
+        dense = max(runs, key=lambda run: run[-1][1] - run[0][0], default=[])
+        gathered += [(np.arange(a, b), dec, m) for run in runs if run is not dense
+                     for a, b, dec, m in run]
 
-    def decay_buffer(self, name: str, like: np.ndarray) -> np.ndarray:
-        if name not in self._decay:
-            self._decay[name] = np.empty_like(like)
-        return self._decay[name]
+        lo = dense[0][0] if dense else 0
+        self.dense = slice(lo, dense[-1][1]) if dense else None
+        self.dense_masks = [(slice(a - lo, b - lo), m) for a, b, _, m in dense if m is not None]
+        self.dense_decayed = [slice(a - lo, b - lo) for a, b, dec, _ in dense if dec]
+
+        gathered.sort(key=lambda g: not g[1])  # stable: decayed positions first
+        self.gather = np.concatenate([g[0] for g in gathered]) if gathered else np.empty(0, np.intp)
+        self.gather_decayed = sum(g[0].size for g in gathered if g[1])
+        self.gather_mask = None
+        if any(m is not None for _, _, m in gathered):
+            self.gather_mask = np.concatenate(
+                [np.ones(pos.size) if m is None else m for pos, _, m in gathered])
+        self.compact = np.empty((4, self.gather.size))
 
 
-def _momentum_update(
-    w: np.ndarray, g: np.ndarray, v: np.ndarray,
-    momentum: float, lr: float, decay: float, decay_buf: np.ndarray | None,
-) -> None:
-    """``v = momentum * v + (g + decay * w); w -= lr * v`` in place, with g as scratch."""
-    if decay != 0.0:
-        np.multiply(w, decay, out=decay_buf)
-        g += decay_buf
+def _momentum(w: np.ndarray, g: np.ndarray, v: np.ndarray, momentum: float, lr: float) -> None:
+    """``v = momentum * v + g; w -= lr * v`` in place, with g as scratch."""
     v *= momentum
     v += g
     np.multiply(v, lr, out=g)
@@ -427,35 +574,52 @@ def sgd_step(
     on prunable tensors only.  Without a plan, every masked-out position is
     re-zeroed in both the parameter and its velocity after the update.
 
-    With a ``StepPlan`` built for ``mask`` (as ``train`` does), the off-mask
-    weights and velocities must already be exactly 0.  The update then runs
-    in place without temporaries and overwrites ``grads``: tensors below the
-    crossover update only their survivors, the others mask the gradient, and
-    the off-mask entries stay 0 with no re-zeroing.  Every surviving position
-    gets bitwise the same result as without a plan.
+    With a ``StepPlan`` built for ``params`` and ``mask`` (as ``train``
+    does), ``grads`` must be ``state.grads``, which the update overwrites,
+    and the off-mask weights and velocities must already be exactly 0.  The
+    whole network is then updated in at most two passes over the flat
+    buffers: one in-place dense pass over a slice, which multiplies the
+    gradient by the mask of each tensor in it that has one, and one gather,
+    update and scatter of the survivors and of the tensors outside that
+    slice.  Positions outside both stay untouched, so off-mask entries stay
+    0 with no re-zeroing.  Every position gets bitwise the result of the
+    per-tensor update ``g *= mask; g += weight_decay * w; v = momentum * v
+    + g; w -= lr * v``, and surviving positions the result without a plan.
     """
-    lr = effective_lr(cfg, epoch)
     if plan is not None:
-        for name in params.names():
-            w, g, v = params[name], grads[name], state.velocity[name]
-            decay = cfg.weight_decay if params.is_prunable(name) else 0.0
-            alive = plan.survivors.get(name)
-            if alive is None:
-                if name in plan.masks:
-                    g *= plan.masks[name]
-                buf = plan.decay_buffer(name, w) if decay != 0.0 else None
-                _momentum_update(w, g, v, cfg.momentum, lr, decay, buf)
-                continue
-            gs, ws, vs, buf = plan.compact[name]
-            w_flat, v_flat = w.reshape(-1), v.reshape(-1)
-            g.reshape(-1).take(alive, out=gs, mode="clip")
-            w_flat.take(alive, out=ws, mode="clip")
-            v_flat.take(alive, out=vs, mode="clip")
-            _momentum_update(ws, gs, vs, cfg.momentum, lr, decay, buf)
-            w_flat[alive] = ws
-            v_flat[alive] = vs
+        if grads is not state.grads:
+            raise ValueError("with a plan, grads must be state.grads")
+        lr, decay = plan.lr[epoch], cfg.weight_decay
+        w, g, v = params.buffer, state.grad_buffer, state.velocity_buffer
+        if plan.dense is not None:
+            wd, gd, vd = w[plan.dense], g[plan.dense], v[plan.dense]
+            for part, m in plan.dense_masks:
+                masked = gd[part]
+                masked *= m
+            if decay != 0.0:
+                buf = state.decay_buffer()[plan.dense]
+                for part in plan.dense_decayed:
+                    decayed = gd[part]
+                    decayed += np.multiply(wd[part], decay, out=buf[part])
+            _momentum(wd, gd, vd, cfg.momentum, lr)
+        if plan.gather.size:
+            idx = plan.gather
+            gs, ws, vs, buf = plan.compact
+            g.take(idx, out=gs, mode="clip")
+            w.take(idx, out=ws, mode="clip")
+            v.take(idx, out=vs, mode="clip")
+            if plan.gather_mask is not None:
+                gs *= plan.gather_mask
+            if decay != 0.0:
+                k = plan.gather_decayed
+                decayed = gs[:k]
+                decayed += np.multiply(ws[:k], decay, out=buf[:k])
+            _momentum(ws, gs, vs, cfg.momentum, lr)
+            w[idx] = ws
+            v[idx] = vs
         state.step_count += 1
         return
+    lr = effective_lr(cfg, epoch)
     for name in params.names():
         g = grads[name]
         w = params[name]
@@ -481,8 +645,9 @@ def evaluate(
     """Mean cross-entropy and argmax accuracy over a dataset, deterministically.
 
     Argmax ties resolve to the lowest class index.  No shuffling; samples are
-    visited in storage order in fixed-size chunks.  The masked weights are
-    built once per call and shared by every chunk.
+    visited in storage order in fixed-size chunks.  The masked weights and
+    the buffers of the forward pass are built once per call and shared by
+    every chunk.
     """
     n = dataset.features.shape[0]
     if n == 0:
@@ -490,13 +655,16 @@ def evaluate(
     total_loss = 0.0
     correct = 0
     layers = effective_weights(params, mask)
+    passes = _Passes(layers, min(chunk_size, n), keep_pre=False)
     for start in range(0, n, chunk_size):
         feats = dataset.features[start : start + chunk_size]
         labels = dataset.labels[start : start + chunk_size]
-        logits, _, _ = _forward_layers(layers, feats)
-        loss, _ = _softmax_ce(logits, labels)
-        total_loss += loss * feats.shape[0]
-        correct += int(np.sum(np.argmax(logits, axis=1) == labels))
+        logits, _, _ = passes.forward(layers, feats)
+        rows = logits.shape[0]
+        _check_labels(labels, *logits.shape)
+        loss = _cross_entropy(logits, passes.offsets[:rows] + labels, passes.dlogits[:rows])
+        total_loss += loss * rows
+        correct += int(np.count_nonzero(logits.argmax(axis=1) == labels))
     loss = total_loss / n
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite evaluation loss {loss}")
@@ -523,39 +691,49 @@ def train(
     The shuffle order for epoch e comes from a generator seeded with a value
     derived deterministically from (cfg.seed, e), so runs are reproducible
     across sessions and platforms.  Returns per-epoch mean minibatch loss and
-    accuracy, measured on the logits computed before each update.
+    accuracy, measured on the logits computed before each update.  Labels
+    outside the network's output width raise ValueError before anything is
+    changed.
 
     The off-mask weights and velocities are zeroed first and stay exactly 0,
-    so each step runs the forward and backward passes unmasked and hands a
-    ``StepPlan`` to ``sgd_step``: large tensors below ``SURVIVOR_UPDATE_BELOW``
-    density update only their survivors.  Surviving params and velocities
+    so each step runs the forward and backward passes unmasked, in place in
+    buffers made once per call, writes the gradients into ``state.grads`` and
+    hands a ``StepPlan`` to ``sgd_step``.  Surviving params and velocities
     come out bitwise equal to a loop of masked ``loss_and_grad`` + ``sgd_step``.
     """
     features = train_set.features
     labels = train_set.labels
     n = features.shape[0]
-    history: list[EpochMetrics] = []
+    pairs = _layer_names(params)
+    layers = [(params[w], params[b]) for w, b in pairs]
+    _check_labels(labels, n, layers[-1][0].shape[0])
+    if state.grad_buffer.shape != params.buffer.shape:
+        raise ValueError("the optimizer state was not built for these parameters")
+    grads = [(state.grads[w], state.grads[b]) for w, b in pairs]
     if mask is not None:  # the invariant the unmasked passes and the plan rely on
         for name in mask.names():
             params[name] *= mask[name]
             state.velocity[name] *= mask[name]
-    plan = StepPlan(mask)
-    pairs = _layer_names(params)
+    plan = StepPlan(params, mask, cfg)
+    passes = state.training_passes(layers, min(cfg.batch_size, n), features.shape[1])
+    predicted = np.empty(n, dtype=np.intp)
+    history: list[EpochMetrics] = []
     for epoch in range(cfg.epochs):
         rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "shuffle", epoch)))
         order = rng.permutation(n)
         loss_sum = 0.0
-        correct = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch = features[idx]
-            batch_labels = labels[idx]
-            loss, grads, logits = _loss_grad_logits(params, None, batch, batch_labels, pairs)
-            sgd_step(params, grads, state, mask, cfg, epoch, plan)
-            loss_sum += loss * idx.shape[0]
-            correct += int(np.sum(np.argmax(logits, axis=1) == batch_labels))
-        for name in params.names():
-            if not np.all(np.isfinite(params[name])):
-                raise FloatingPointError(f"non-finite values in {name!r} after epoch {epoch}")
+            b = idx.shape[0]
+            features.take(idx, axis=0, out=passes.batch[:b], mode="clip")
+            labels.take(idx, out=passes.labels[:b], mode="clip")
+            loss, logits = passes.step(layers, b, grads)
+            sgd_step(params, state.grads, state, mask, cfg, epoch, plan)
+            loss_sum += loss * b
+            logits.argmax(axis=1, out=predicted[start : start + b])
+        correct = int(np.count_nonzero(predicted == labels.take(order)))
+        if not (np.isfinite(params.buffer.min()) and np.isfinite(params.buffer.max())):
+            bad = next(name for name in params.names() if not np.all(np.isfinite(params[name])))
+            raise FloatingPointError(f"non-finite values in {bad!r} after epoch {epoch}")
         history.append(EpochMetrics(train_loss=loss_sum / n, train_acc=correct / n))
     return history

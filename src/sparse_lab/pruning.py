@@ -37,9 +37,16 @@ class Mask:
             self._entries[name] = arr
 
     @classmethod
+    def _unchecked(cls, entries: dict[str, np.ndarray]) -> "Mask":
+        """A Mask of entries already known to be binary C-contiguous float64."""
+        mask = cls.__new__(cls)
+        mask._entries = entries
+        return mask
+
+    @classmethod
     def full(cls, params: ParamSet) -> "Mask":
         """All-ones mask over every prunable tensor."""
-        return cls({n: np.ones_like(params[n]) for n in params.prunable_names()})
+        return cls._unchecked({n: np.ones_like(params[n]) for n in params.prunable_names()})
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._entries[name]
@@ -51,7 +58,7 @@ class Mask:
         return list(self._entries)
 
     def copy(self) -> "Mask":
-        return Mask({n: a.copy() for n, a in self._entries.items()})
+        return Mask._unchecked({n: a.copy() for n, a in self._entries.items()})
 
     def surviving(self) -> int:
         return int(sum(a.sum() for a in self._entries.values()))
@@ -90,38 +97,43 @@ def prune(params: ParamSet, mask: Mask, t_iter: float, scope: PruneScope) -> Mas
         raise ValueError("mask exhausted: no surviving weights left to prune")
 
     new_mask = mask.copy()
+    flat = [new_mask[name].reshape(-1) for name in names]
     if scope is PruneScope.LAYERWISE:
-        for name in names:
-            m = new_mask[name].reshape(-1)
-            w = params[name].reshape(-1)
-            alive = np.flatnonzero(m == 1.0)
+        for name, m in zip(names, flat):
+            alive, mags = _surviving_magnitudes(params[name], m)
             k = int(np.floor(t_iter * alive.size))
-            if k == 0:
-                continue
-            # stable sort on magnitude keeps ascending flat index on ties
-            order = np.argsort(np.abs(w[alive]), kind="stable")
-            m[alive[order[:k]]] = 0.0
+            if k > 0:
+                m[alive[_smallest(mags, k)]] = 0.0
     else:
-        mags, layer_ids, flat_ids = [], [], []
-        for layer_id, name in enumerate(names):
-            m = new_mask[name].reshape(-1)
-            w = params[name].reshape(-1)
-            alive = np.flatnonzero(m == 1.0)
-            mags.append(np.abs(w[alive]))
-            layer_ids.append(np.full(alive.size, layer_id))
-            flat_ids.append(alive)
+        alive, mags = zip(*(_surviving_magnitudes(params[n], m) for n, m in zip(names, flat)))
+        # concatenated in layer order, flat index ascending within a layer
         mag = np.concatenate(mags)
-        layer = np.concatenate(layer_ids)
-        flat = np.concatenate(flat_ids)
         k = int(np.floor(t_iter * mag.size))
         if k > 0:
-            # lexsort: last key is primary, so (magnitude, layer order, flat index)
-            order = np.lexsort((flat, layer, mag))
-            doomed = order[:k]
-            for layer_id, name in enumerate(names):
-                sel = flat[doomed[layer[doomed] == layer_id]]
-                new_mask[name].reshape(-1)[sel] = 0.0
+            chosen = np.split(_smallest(mag, k), np.cumsum([a.size for a in alive])[:-1])
+            for m, a, part in zip(flat, alive, chosen):
+                m[a[part]] = 0.0
     return new_mask
+
+
+def _surviving_magnitudes(w: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the survivors of flat mask ``m``, ascending, and |w| there."""
+    alive = np.flatnonzero(m)
+    mags = w.reshape(-1).take(alive)
+    return alive, np.abs(mags, out=mags)
+
+
+def _smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """Boolean selection of the k smallest of ``values``, found by partition;
+    ties at the k-th value go to the earliest positions, as in a stable sort,
+    and NaNs sort last."""
+    kth = np.partition(values, k - 1)[k - 1]
+    if np.isnan(kth):
+        chosen, at_kth = ~np.isnan(values), np.isnan(values)
+    else:
+        chosen, at_kth = values < kth, values == kth
+    chosen[np.flatnonzero(at_kth)[: k - np.count_nonzero(chosen)]] = True
+    return chosen
 
 
 def rewind(params: ParamSet, init: ParamSet, mask: Mask, state: OptimizerState) -> None:

@@ -96,13 +96,7 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
     """
     run_dir = Path(run_dir)
     cfg_hash = cfg.config_hash()
-    if is_run_dir(run_dir):
-        existing = read_config(run_dir)
-        if existing.config_hash() != cfg_hash:
-            raise ValueError(
-                f"refusing to reuse {run_dir}: it holds run "
-                f"{existing.run_id!r} with a different config"
-            )
+    _refuse_foreign(run_dir, cfg)
 
     rounds = completed_rounds(run_dir, cfg_hash)
     done_before = len(rounds)
@@ -198,6 +192,17 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
     return run
 
 
+def _refuse_foreign(run_dir: Path, cfg: SketchConfig) -> None:
+    """Raise ValueError if ``run_dir`` holds a run of another config."""
+    if is_run_dir(run_dir):
+        existing = read_config(run_dir)
+        if existing.config_hash() != cfg.config_hash():
+            raise ValueError(
+                f"refusing to reuse {run_dir}: it holds run "
+                f"{existing.run_id!r} with a different config"
+            )
+
+
 def _as_run(cfg: SketchConfig, rounds: list[RoundMetrics]) -> SketchRun:
     """The SketchRun of ``rounds``, phases detected at the default delta."""
     run = SketchRun(config=cfg, rounds=rounds)
@@ -227,9 +232,11 @@ def sweep(
     """Run the Cartesian product of L2 coefficients, noise levels, and seeds.
 
     Each combination gets run id ``<base>-lam<l>-eps<e>-s<seed>`` and its own
-    directory under ``out_root``.  All cells are checked before the first runs,
-    so a bad grid raises ConfigError with nothing written.  Finished cells are
-    reused via the resume path, so a killed sweep can simply be rerun.
+    directory under ``out_root``.  All cells are checked before the first runs:
+    a bad grid raises ConfigError with nothing written, and a cell directory
+    that holds another config raises ValueError before any cell trains.
+    Finished cells are reused via the resume path, so a killed sweep can
+    simply be rerun.
     """
     if not lambdas or not epsilons or not seeds:
         raise ConfigError("sweep grids must be non-empty: give at least one lambda, epsilon and seed")
@@ -246,4 +253,6 @@ def sweep(
     dupes = {r for r in run_ids if run_ids.count(r) > 1}
     if dupes:
         raise ConfigError(f"duplicate run ids in sweep grid: {sorted(dupes)}")
+    for cfg in cells:
+        _refuse_foreign(Path(out_root) / cfg.run_id, cfg)
     return [run_sketch(cfg, Path(out_root) / cfg.run_id) for cfg in cells]

@@ -229,6 +229,14 @@ class TestSweepCommand:
         assert (tmp_path / "grid" / "cli-test-lam0-eps0.1-s3" / "metrics.csv").exists()
         assert (tmp_path / "grid" / "cli-test-lam0.0001-eps0.1-s3" / "metrics.csv").exists()
 
+    def test_foreign_cell_refused_before_any_cell_trains(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert cli_main(sketch_args(out, command="sweep") + GRID) == 0
+        grid = ["--lambdas", "1e-4,0", "--epsilons", "0", "--seeds", "1"]
+        assert cli_main(sketch_args(out, command="sweep", epochs="2") + grid) == 2
+        assert "refusing to reuse" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["cli-test-lam0-eps0-s1"]
+
     def test_empty_grid_config_error(self, tmp_path, capsys):
         args = sketch_args(tmp_path / "grid", command="sweep")
         args.extend(["--lambdas", "", "--epsilons", "0.1", "--seeds", "1"])

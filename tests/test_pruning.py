@@ -244,3 +244,47 @@ class TestOracleEquivalence:
             for i in range(n_layers):
                 got = set(np.flatnonzero(result[f"fc{i+1}.weight"].reshape(-1) == 1.0))
                 assert got == expected[i], f"scope={scope} layer={i} t={t_iter}"
+
+    @pytest.mark.parametrize("scope", [PruneScope.LAYERWISE, PruneScope.GLOBAL])
+    def test_heavy_ties(self, scope):
+        # a few distinct magnitudes over hundreds of weights: most cuts fall inside a tie
+        rng = np.random.default_rng(7)
+        for case in range(12):
+            shapes = [(12, 20), (8, 12), (3, 8)][: 1 + case % 3]
+            params = ParamSet()
+            weights, masks = [], []
+            for i, shape in enumerate(shapes):
+                w = rng.choice([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0], size=shape)
+                params.add(f"fc{i+1}.weight", w)
+                params.add(f"fc{i+1}.bias", np.zeros(shape[0]))
+                weights.append(w)
+                masks.append((rng.random(shape) < 0.7).astype(np.float64))
+            mask = Mask({f"fc{i+1}.weight": m for i, m in enumerate(masks)})
+            t_iter = float(rng.uniform(0.05, 0.95))
+            result = prune(params, mask, t_iter, scope)
+            expected = brute_force_prune(weights, masks, t_iter, scope)
+            for i in range(len(shapes)):
+                got = set(np.flatnonzero(result[f"fc{i+1}.weight"].reshape(-1)))
+                assert got == expected[i], f"case {case} layer {i} t={t_iter}"
+
+
+def test_selection_matches_a_stable_sort_on_a_lenet_layer():
+    rng = np.random.default_rng(3)
+    # 300 x 784 weights rounded to 3 decimals: about 200 weights share each magnitude
+    w = np.round(rng.uniform(-0.05, 0.05, size=(300, 784)), 3)
+    params = make_params(w)
+    mask = Mask({"fc1.weight": (rng.random(w.shape) < 0.6).astype(np.float64)})
+    alive = np.flatnonzero(mask["fc1.weight"])
+    k = int(np.floor(0.2 * alive.size))
+    expected = mask["fc1.weight"].copy().reshape(-1)
+    expected[alive[np.argsort(np.abs(w.reshape(-1)[alive]), kind="stable")[:k]]] = 0.0
+    for scope in PruneScope:  # one layer: both scopes rank the same weights
+        out = prune(params, mask, 0.2, scope)
+        assert np.array_equal(out["fc1.weight"].reshape(-1), expected)
+
+
+def test_nan_magnitudes_rank_last_like_a_stable_sort():
+    params, mask = single_layer([np.nan, 0.3, -np.inf, 0.1, np.nan, 0.2])
+    out = prune(params, mask, t_iter=0.9, scope=PruneScope.LAYERWISE)  # floor(0.9*6)=5
+    # 0.1, 0.2, 0.3, inf go, then the first NaN by flat index
+    np.testing.assert_array_equal(out["fc1.weight"], [[0, 0, 0, 0, 1, 0]])

@@ -17,6 +17,7 @@ from sparse_lab import (
     Mask,
     MlpArchitecture,
     OptimizerState,
+    PruneScope,
     SketchConfig,
     TrainConfig,
     init_params,
@@ -26,6 +27,7 @@ from sparse_lab import (
     synth_blobs,
     train,
 )
+from sparse_lab.checkpoint import load_tensors
 from sparse_lab.util import derive_seed
 
 # fc1 and fc2 are large enough for the survivor update, fc3 is not
@@ -97,6 +99,27 @@ def test_train_equals_masked_loop(monkeypatch, crossover, min_size, weight_decay
         assert np.all(state.velocity[n][mask[n] == 0.0] == 0.0)
 
 
+def mixed_mask(params):
+    """fc1 half alive (all positions updated), fc2 at 5% (survivors only), fc3 half alive."""
+    rng = np.random.default_rng(2)
+    return Mask({n: (rng.random(params[n].shape) < d).astype(np.float64)
+                 for n, d in zip(params.prunable_names(), (0.5, 0.05, 0.5))})
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_train_with_tensors_gathered_outside_the_dense_stretch(weight_decay):
+    ds = synth_blobs(n_per_class=25, num_classes=4, dim=24, separation=2.0, seed=3)
+    cfg = TrainConfig(epochs=2, lr=0.1, momentum=0.9, weight_decay=weight_decay,
+                      batch_size=16, seed=8)
+    params, state = dirty_start(4)
+    mask = mixed_mask(params)
+    o_params, o_state = params.copy(), OptimizerState(params)
+    o_state.velocity_buffer[...] = state.velocity_buffer
+    train(params, mask, state, ds, cfg)
+    masked_loop(o_params, mask, o_state, ds, cfg)
+    assert_same(params, state, o_params, o_state)
+
+
 def test_unmasked_train_equals_unmasked_loop():
     ds = synth_blobs(n_per_class=25, num_classes=4, dim=24, separation=2.0, seed=3)
     cfg = TrainConfig(epochs=2, lr=0.05, momentum=0.5, weight_decay=1e-4, batch_size=32, seed=2)
@@ -118,10 +141,29 @@ def test_plan_splits_tensors_at_the_crossover():
         "fc2.weight": np.ones_like(params["fc2.weight"]),  # full: plain update
         "fc3.weight": sparse["fc3.weight"],  # small: masked dense update
     })
-    plan = nn.StepPlan(mask)
-    assert set(plan.survivors) == {"fc1.weight"}
-    assert np.array_equal(plan.survivors["fc1.weight"], np.flatnonzero(mask["fc1.weight"]))
-    assert set(plan.masks) == {"fc3.weight"}
+    plan = nn.StepPlan(params, mask, TrainConfig(epochs=1))
+    offsets = {name: (start, stop) for name, start, stop in params.offsets()}
+    # everything after fc1.weight is one stretch of all-position tensors
+    assert plan.dense == slice(offsets["fc1.bias"][0], params.total_count())
+    fc3 = slice(*(i - offsets["fc1.bias"][0] for i in offsets["fc3.weight"]))
+    assert [part for part, _ in plan.dense_masks] == [fc3]
+    assert np.array_equal(plan.gather, np.flatnonzero(mask["fc1.weight"]))
+    assert plan.gather_mask is None and plan.gather_decayed == plan.gather.size
+
+
+def test_plan_gathers_tensors_outside_the_dense_stretch():
+    params = init_params(ARCH, 0)
+    mask = mixed_mask(params)
+    plan = nn.StepPlan(params, mask, TrainConfig(epochs=1))
+    offsets = {name: (start, stop) for name, start, stop in params.offsets()}
+    assert plan.dense == slice(0, offsets["fc1.bias"][1])  # fc1 outweighs fc2.bias..fc3.bias
+    fc2 = np.flatnonzero(mask["fc2.weight"]) + offsets["fc2.weight"][0]
+    expected = [fc2, np.arange(*offsets["fc3.weight"]),  # decayed first
+                np.arange(*offsets["fc2.bias"]), np.arange(*offsets["fc3.bias"])]
+    assert np.array_equal(plan.gather, np.concatenate(expected))
+    assert plan.gather_decayed == fc2.size + params["fc3.weight"].size
+    assert np.array_equal(plan.gather_mask[fc2.size:plan.gather_decayed], mask["fc3.weight"].reshape(-1))
+    assert np.all(np.delete(plan.gather_mask, np.s_[fc2.size:plan.gather_decayed]) == 1.0)
 
 
 def test_layer_names_worked_out_once_per_call(monkeypatch):
@@ -161,3 +203,90 @@ def test_metrics_csv_matches_golden_digest(tmp_path):
     assert len(run.rounds) == 7
     digest = hashlib.sha256((tmp_path / "r" / "metrics.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_METRICS_CSV_SHA256
+
+
+# sha256 over every round's params.bin and mask.bin, then metrics.csv, of the two
+# runs below, recorded from the per-tensor update.  np.array_equal ignores the
+# sign of zero; these bytes do not.
+GOLDEN_RUN_BYTES_SHA256 = "3ce5d924f17c121d177491576c0fc8d59e2f3bc13f5005056c7522ed89371744"
+
+
+def golden_byte_configs():
+    # every tensor under SURVIVOR_UPDATE_MIN_SIZE; 240 training samples in batches
+    # of 64 end with a partial batch; the lr drops at epoch 2 of 3
+    small = SketchConfig(
+        run_id="small",
+        arch=MlpArchitecture([32, 64, 32, 10]),
+        train=TrainConfig(epochs=3, lr=0.1, momentum=0.9, weight_decay=1e-4, batch_size=64,
+                          lr_milestones=(2,), seed=5),
+        dataset=DatasetSpec(kind="blobs", n_per_class=30, num_classes=10, dim=32, data_seed=4),
+        t_iter=0.5,
+        t_end=0.99,
+        epsilon=0.2,
+        noise_seed=6,
+    )
+    # global scope: fc2 (10240 weights) reaches the survivor update a round before
+    # fc1 (12288) does, and both end with dead units
+    wide = SketchConfig(
+        run_id="wide",
+        arch=MlpArchitecture([96, 128, 80, 4]),
+        train=TrainConfig(epochs=2, lr=0.1, momentum=0.9, weight_decay=1e-4, batch_size=32,
+                          seed=9),
+        dataset=DatasetSpec(kind="blobs", n_per_class=40, num_classes=4, dim=96, data_seed=8),
+        t_iter=0.5,
+        t_end=0.995,
+        scope=PruneScope.GLOBAL,
+        epsilon=0.1,
+        noise_seed=3,
+    )
+    return small, wide
+
+
+def test_run_bytes_match_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    for cfg in golden_byte_configs():
+        run_dir = tmp_path / cfg.run_id
+        run = run_sketch(cfg, run_dir)
+        for k in range(len(run.rounds)):
+            for name in ("params.bin", "mask.bin"):
+                digest.update((run_dir / f"round_{k:03d}" / name).read_bytes())
+        digest.update((run_dir / "metrics.csv").read_bytes())
+    last = load_tensors(tmp_path / "wide" / f"round_{len(run.rounds) - 1:03d}" / "mask.bin")
+    assert (last["fc1.weight"].sum(axis=1) == 0).any()  # fc1 units with no input left
+    assert (last["fc2.weight"].sum(axis=0) == 0).any()  # fc1 units with no output left
+    assert digest.hexdigest() == GOLDEN_RUN_BYTES_SHA256
+
+
+def six_class_data():
+    """Blobs whose labels reach 5: out of range for a 4-output network."""
+    ds = synth_blobs(n_per_class=10, num_classes=6, dim=24, separation=2.0, seed=3)
+    assert ds.labels.max() == 5
+    return ds
+
+
+def test_train_checks_labels_once_before_any_update(monkeypatch):
+    params, state = dirty_start(5)
+    mask = random_mask(params, 0.5, np.random.default_rng(5))
+    before = params.buffer.tobytes(), state.velocity_buffer.tobytes()
+    checks = []
+    real = nn._check_labels
+    monkeypatch.setattr(nn, "_check_labels", lambda *a: checks.append(1) or real(*a))
+    with pytest.raises(ValueError, match=r"label \d out of range \[0, 4\)"):
+        train(params, mask, state, six_class_data(), TrainConfig(epochs=2, batch_size=8))
+    assert (params.buffer.tobytes(), state.velocity_buffer.tobytes()) == before
+    assert state.step_count == 0
+    ds = synth_blobs(n_per_class=25, num_classes=4, dim=24, separation=2.0, seed=3)
+    checks.clear()
+    train(params, mask, state, ds, TrainConfig(epochs=2, batch_size=8))
+    assert len(checks) == 1 and state.step_count == 26
+
+
+def test_loss_and_grad_and_evaluate_check_their_own_labels():
+    params = init_params(ARCH, 0)
+    ds = six_class_data()
+    with pytest.raises(ValueError, match=r"label \d out of range \[0, 4\)"):
+        loss_and_grad(params, None, ds.features, ds.labels)
+    with pytest.raises(ValueError, match=r"label \d out of range \[0, 4\)"):
+        nn.evaluate(params, None, ds)
+    with pytest.raises(ValueError, match="labels must have shape"):
+        loss_and_grad(params, None, ds.features, ds.labels[:-1])
