@@ -434,24 +434,33 @@ def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> None:
         raise ValueError(f"label {bad} out of range [0, {num_classes})")
 
 
-def _cross_entropy(logits: np.ndarray, picks: np.ndarray, dlogits: np.ndarray) -> float:
-    """Mean softmax cross-entropy of C-contiguous ``logits``; its gradient
-    w.r.t. them goes to ``dlogits``.  ``picks`` holds the flat index of each
-    row's label entry, ``row * num_classes + label``, for labels already
-    checked.  The reductions are the ufunc calls behind ``logits.max``,
-    ``.sum`` and ``np.mean``, so the results are bitwise theirs."""
-    n = logits.shape[0]
+def _cross_entropy_loss(
+    logits: np.ndarray, picks: np.ndarray, scratch: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of C-contiguous ``logits``, and the row sums
+    of ``exp(logits - row max)``, which it leaves in ``scratch``.  ``picks``
+    holds the flat index of each row's label entry, ``row * num_classes +
+    label``, for labels already checked.  The reductions are the ufunc calls
+    behind ``logits.max``, ``.sum`` and ``np.mean``, so the results are
+    bitwise theirs."""
     zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
-    np.subtract(logits, zmax, out=dlogits)
-    np.exp(dlogits, out=dlogits)
-    sumexp = np.add.reduce(dlogits, axis=1, keepdims=True)
+    np.subtract(logits, zmax, out=scratch)
+    np.exp(scratch, out=scratch)
+    sumexp = np.add.reduce(scratch, axis=1, keepdims=True)
     lse = np.log(sumexp[:, 0])
     lse += zmax[:, 0]
     lse -= logits.reshape(-1).take(picks)
+    return float(np.add.reduce(lse) / logits.shape[0]), sumexp
+
+
+def _cross_entropy(logits: np.ndarray, picks: np.ndarray, dlogits: np.ndarray) -> float:
+    """``_cross_entropy_loss``, with the loss's gradient w.r.t. ``logits``
+    written to ``dlogits``."""
+    loss, sumexp = _cross_entropy_loss(logits, picks, dlogits)
     dlogits /= sumexp
     dlogits.reshape(-1)[picks] -= 1.0
-    dlogits /= n
-    return float(np.add.reduce(lse) / n)
+    dlogits /= logits.shape[0]
+    return loss
 
 
 def loss_and_grad(
@@ -662,7 +671,8 @@ def evaluate(
         logits, _, _ = passes.forward(layers, feats)
         rows = logits.shape[0]
         _check_labels(labels, *logits.shape)
-        loss = _cross_entropy(logits, passes.offsets[:rows] + labels, passes.dlogits[:rows])
+        loss, _ = _cross_entropy_loss(logits, passes.offsets[:rows] + labels,
+                                      passes.dlogits[:rows])
         total_loss += loss * rows
         correct += int(np.count_nonzero(logits.argmax(axis=1) == labels))
     loss = total_loss / n

@@ -8,6 +8,11 @@ nonlinearities, so the full-minus-masked difference is the quantity this
 module reports.)  Alongside it we score how small the removed-weight input
 products are, and whether any downstream layer can amplify an injected
 unit-L1 activation perturbation.
+
+The amplification Jacobians are built as stacked per-sample GEMMs over
+fixed chunks of samples, with no Python loop over the samples.  Two rules
+keep the bits of the per-sample reference in ``selftest``: never flatten a
+chunk's stack into one GEMM, and add the per-sample norms in sample order.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .rundir import load_probes, save_probes  # noqa: F401 - for the CLI and ben
 from .sketch import load_round_state
 
 PROBE_BATCH_SIZE = 256
+# samples per stacked Jacobian GEMM in _amplification; bounds its temporaries
+AMPLIFICATION_CHUNK = 32
 
 
 def excess_logits(params: ParamSet, mask: Mask, batch: np.ndarray) -> np.ndarray:
@@ -38,6 +45,16 @@ def amplification_check(params: ParamSet, batch: np.ndarray) -> list[float]:
     induced L1 norm (max column abs sum) is the largest possible
     ||output change||_1 / ||activation change||_1 over unit-L1 injected
     perturbations.  Returns the batch mean per hidden layer.
+
+    The Jacobians are stacked per-sample GEMMs over fixed chunks of
+    ``AMPLIFICATION_CHUNK`` samples: each layer multiplies a (chunk, out, k)
+    stack of gated weights into the chunk's (k, n) or (chunk, k, n)
+    Jacobians, one BLAS GEMM per sample.  The last hidden layer's Jacobian is
+    the output weight for every sample, so its norm is taken once.  Two rules
+    keep the result bit for bit that of ``selftest.amplification_reference``:
+    the stack is never flattened into one (chunk * out, k) GEMM, whose BLAS
+    blocking may sum the products in another order, and the norms are added
+    to the total one sample at a time, in sample order.
     """
     _, pre, _ = forward_trace(params, None, batch)
     return _amplification(params, pre)
@@ -52,14 +69,22 @@ def _amplification(params: ParamSet, pre: list[np.ndarray]) -> list[float]:
         raise ValueError("batch must be a non-empty 2-D array")
     ratios: list[float] = []
     for hidden in range(num_layers - 1):
-        # Jacobian of the tail starting after ReLU `hidden` (0-based hidden index)
+        if hidden + 2 == num_layers:
+            # no ReLU between this layer and the output: one Jacobian for all samples
+            norms = [float(np.abs(layers[-1][0]).sum(axis=0).max())] * samples
+        else:
+            norms = []
+            for start in range(0, samples, AMPLIFICATION_CHUNK):
+                jac = layers[hidden + 1][0]
+                for m in range(hidden + 2, num_layers):
+                    gate = (pre[m - 1][start:start + AMPLIFICATION_CHUNK] > 0.0).astype(np.float64)
+                    # the gate zeroes the columns of W_m, not the rows of jac: same products
+                    jac = np.matmul(layers[m][0] * gate[:, None, :], jac)
+                np.abs(jac, out=jac)
+                norms.extend(jac.sum(axis=1).max(axis=1).tolist())
         total = 0.0
-        for s in range(samples):
-            jac = layers[hidden + 1][0]
-            for m in range(hidden + 2, num_layers):
-                gate = (pre[m - 1][s] > 0.0).astype(np.float64)
-                jac = layers[m][0] @ (gate[:, None] * jac)
-            total += float(np.abs(jac).sum(axis=0).max())
+        for norm in norms:  # in sample order, as the reference sums them
+            total += norm
         ratios.append(total / samples)
     return ratios
 

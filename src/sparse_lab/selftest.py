@@ -3,14 +3,22 @@
 Both suites check the fast paths against independent references: gradients
 against central finite differences of the loss, and pruning against a
 brute-force sort over (|value|, layer order, flat index).  The test suite
-uses the same oracles.
+uses the same oracles, and one more: the per-sample amplification loop that
+the stacked Jacobians of ``probes.amplification_check`` must match bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .nn import MlpArchitecture, ParamSet, forward_trace, init_params, loss_and_grad
+from .nn import (
+    MlpArchitecture,
+    ParamSet,
+    effective_weights,
+    forward_trace,
+    init_params,
+    loss_and_grad,
+)
 from .pruning import Mask, PruneScope, prune
 
 
@@ -71,6 +79,33 @@ def random_small_net(seed: int) -> tuple[ParamSet, np.ndarray, np.ndarray]:
         if kink_free(params, batch):
             return params, batch, labels
     raise RuntimeError(f"could not build a kink-free test net for seed {seed}")
+
+
+def amplification_reference(params: ParamSet, pre: list[np.ndarray]) -> list[float]:
+    """Per-sample reference for ``probes.amplification_check``.
+
+    ``pre`` holds the unmasked pre-activations of a batch.  For each sample
+    and hidden layer the Jacobian is built one layer at a time with the ReLU
+    gate on the rows of the right operand; the induced L1 norms are summed
+    in sample order and averaged.
+    """
+    layers = effective_weights(params, None)
+    num_layers = len(layers)
+    samples = pre[0].shape[0]
+    if samples == 0:
+        raise ValueError("batch must be a non-empty 2-D array")
+    ratios: list[float] = []
+    for hidden in range(num_layers - 1):
+        # Jacobian of the tail starting after ReLU `hidden` (0-based hidden index)
+        total = 0.0
+        for s in range(samples):
+            jac = layers[hidden + 1][0]
+            for m in range(hidden + 2, num_layers):
+                gate = (pre[m - 1][s] > 0.0).astype(np.float64)
+                jac = layers[m][0] @ (gate[:, None] * jac)
+            total += float(np.abs(jac).sum(axis=0).max())
+        ratios.append(total / samples)
+    return ratios
 
 
 def run_gradient_check(num_nets: int = 5, tolerance: float = 1e-6) -> tuple[bool, str]:

@@ -273,6 +273,18 @@ class TestEvaluate:
         evaluate(params, mask, ds, chunk_size=7)  # 70 samples: 10 chunks
         assert len(calls) == 1
 
+    def test_loss_without_the_gradient_keeps_its_bits(self, monkeypatch):
+        ds = synth_blobs(n_per_class=40, num_classes=3, dim=5, separation=1.0, seed=8)
+        params = init_params(MlpArchitecture([5, 9, 3]), seed=3)
+        reference, _ = nn.loss_and_grad(params, None, ds.features, ds.labels)
+
+        def no_gradient(*args):
+            raise AssertionError("evaluate wrote a gradient")
+
+        monkeypatch.setattr(nn, "_cross_entropy", no_gradient)
+        loss, _ = evaluate(params, None, ds)  # one chunk: loss * n / n
+        assert float.hex(loss) == float.hex(reference * ds.size / ds.size)
+
     def test_empty_dataset_unconstructable(self):
         with pytest.raises(ValueError):
             LabeledDataset(

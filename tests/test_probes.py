@@ -1,10 +1,12 @@
 """Excess-output probes and amplification checks."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparse_lab.probes as probes_mod
 import sparse_lab.sketch as sketch_mod
 from sparse_lab import (
     DatasetSpec,
@@ -14,6 +16,7 @@ from sparse_lab import (
     SketchConfig,
     TrainConfig,
     amplification_check,
+    cli_main,
     excess_logits,
     excess_output,
     forward,
@@ -21,6 +24,9 @@ from sparse_lab import (
     probe_along_run,
     run_sketch,
 )
+from sparse_lab.nn import forward_trace
+from sparse_lab.selftest import amplification_reference
+from sparse_lab.sketch import load_dataset, load_round_state
 
 from conftest import make_params
 
@@ -201,3 +207,98 @@ class TestProbeAlongRun:
     def test_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             probe_along_run(tmp_path, np.zeros((1, 5)))
+
+
+# sha256 over probes.json then metrics.csv after each `probe` below, recorded
+# from the per-sample amplification loop.  json floats carry every bit.
+GOLDEN_PROBE_SHA256 = "b2cb1a986ddb0c00da0a90ab4e0b6d7ce3dbcae56f3cefcfd35dac4760fc02e6"
+
+
+def golden_probe_configs():
+    # 3 weight layers: one gate between a hidden layer and the output
+    three = SketchConfig(
+        run_id="three",
+        arch=MlpArchitecture([8, 24, 16, 4]),
+        train=TrainConfig(epochs=2, lr=0.1, momentum=0.9, batch_size=16, seed=3),
+        dataset=DatasetSpec(kind="blobs", n_per_class=60, num_classes=4, dim=8,
+                            separation=2.5, data_seed=5),
+        t_iter=0.5, t_end=0.9, epsilon=0.1, noise_seed=2,
+    )
+    # 4 weight layers: the first hidden layer's Jacobian passes two gates
+    four = SketchConfig(
+        run_id="four",
+        arch=MlpArchitecture([6, 16, 12, 8, 3]),
+        train=TrainConfig(epochs=2, lr=0.1, momentum=0.9, batch_size=16, seed=7),
+        dataset=DatasetSpec(kind="blobs", n_per_class=70, num_classes=3, dim=6,
+                            separation=2.5, data_seed=9),
+        t_iter=0.5, t_end=0.9, epsilon=0.1, noise_seed=4,
+    )
+    return three, four
+
+
+def test_probe_files_match_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    for cfg in golden_probe_configs():
+        run_dir = tmp_path / cfg.run_id
+        run = run_sketch(cfg, run_dir)
+        _, test_set = load_dataset(cfg.dataset)
+        assert test_set.size >= 37
+        # 1 sample, then more than one 32-sample chunk and not a multiple of it
+        for size in (1, 37):
+            assert cli_main(["probe", "--run", str(run_dir), "--probe-size", str(size)]) == 0
+            digest.update((run_dir / "probes.json").read_bytes())
+            digest.update((run_dir / "metrics.csv").read_bytes())
+    # a probed round of the deeper net has hidden units dead on every test sample
+    params, _ = load_round_state(run_dir, len(run.rounds) - 2)
+    _, pre, _ = forward_trace(params, None, test_set.features)
+    assert any((z <= 0.0).all(axis=0).any() for z in pre[:-1])
+    assert digest.hexdigest() == GOLDEN_PROBE_SHA256
+
+
+def hexes(values):
+    return [float.hex(v) for v in values]
+
+
+def assert_matches_reference(params, batch):
+    _, pre, _ = forward_trace(params, None, batch)
+    got = amplification_check(params, batch)
+    assert hexes(got) == hexes(amplification_reference(params, pre))
+    return got
+
+
+class TestStackedAmplification:
+    CHUNK = probes_mod.AMPLIFICATION_CHUNK
+    SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+
+    @pytest.mark.parametrize("sizes", [
+        [5, 7, 3],
+        [6, 9, 7, 4],
+        [6, 16, 12, 8, 3],
+        [7, 10, 9, 8, 6, 4],
+    ], ids=["1 hidden", "2 hidden", "3 hidden", "4 hidden"])
+    @pytest.mark.parametrize("samples", SIZES)
+    def test_bits_match_the_per_sample_reference(self, sizes, samples):
+        params = init_params(MlpArchitecture(sizes), len(sizes) * 100 + samples)
+        batch = np.random.default_rng(samples).standard_normal((samples, sizes[0]))
+        assert_matches_reference(params, batch)
+
+    @pytest.mark.parametrize("samples", SIZES)
+    def test_a_layer_with_every_unit_dead(self, samples):
+        params = init_params(MlpArchitecture([5, 8, 6, 4, 3]), 21)
+        # the second hidden layer never fires, so with zero biases neither does the third
+        params["fc2.bias"] = np.full(6, -1e3)
+        batch = np.random.default_rng(samples).standard_normal((samples, 5))
+        ratios = assert_matches_reference(params, batch)
+        assert ratios[0] == 0.0 and ratios[1] == 0.0 and ratios[2] > 0.0
+
+    @pytest.mark.parametrize("sizes", [[5, 1, 6, 3], [5, 6, 1, 4, 3], [5, 6, 4, 1, 3]],
+                             ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("samples", SIZES)
+    def test_a_hidden_layer_of_width_one(self, sizes, samples):
+        params = init_params(MlpArchitecture(sizes), 5)
+        for name in params.names():
+            if name.endswith(".bias"):
+                params[name] = np.full(params[name].shape, 1.0)  # mostly live units
+        batch = np.random.default_rng(samples).standard_normal((samples, 5))
+        ratios = assert_matches_reference(params, batch)
+        assert ratios[0] > 0.0
