@@ -3,15 +3,23 @@
 SPARSE_LAB_THREADS caps BLAS intra-op parallelism (default 1, which keeps
 results bit-reproducible).  The cap is applied here, before numpy loads, so
 importing ``sparse_lab`` first is enough; it cannot take effect if numpy was
-already imported by the host process.
+already imported by the host process, and a RuntimeWarning says so when the
+cap had to set a BLAS variable that numpy had already missed.
 """
 
 import os as _os
+import sys as _sys
 
 _threads = _os.environ.get("SPARSE_LAB_THREADS", "1")
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    _os.environ.setdefault(_var, _threads)
+_unset = [v for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                      "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS") if v not in _os.environ]
+for _var in _unset:
+    _os.environ[_var] = _threads
+if _unset and "numpy" in _sys.modules:
+    import warnings as _warnings
+
+    _warnings.warn("numpy was imported before sparse_lab, so SPARSE_LAB_THREADS cannot cap "
+                   "its BLAS threads; import sparse_lab first", RuntimeWarning, stacklevel=2)
 
 from .util import TOOL_VERSION as __version__  # noqa: E402
 from .nn import (  # noqa: E402

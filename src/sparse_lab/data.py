@@ -268,6 +268,13 @@ def revert_noise(ds: LabeledDataset, record: NoiseRecord) -> LabeledDataset:
     )
 
 
+def train_count(n: int, train_fraction: float) -> int | None:
+    """Training samples of a ``split`` of n samples at ``train_fraction``, or
+    None when the split would leave the training or the test side empty."""
+    n_train = int(round(train_fraction * n))
+    return n_train if 1 <= n_train < n else None
+
+
 def split(
     ds: LabeledDataset, train_fraction: float, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
@@ -275,8 +282,8 @@ def split(
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     n = ds.size
-    n_train = int(round(train_fraction * n))
-    if n_train < 1 or n_train >= n:
+    n_train = train_count(n, train_fraction)
+    if n_train is None:
         raise ValueError(f"split of {n} samples at fraction {train_fraction} leaves an empty side")
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(n)

@@ -15,10 +15,11 @@ gradient scratch in two more arrays of the same layout, made once per run.
 the off-mask weights and velocities, after which they stay exactly 0: the
 forward and backward passes run unmasked (``w * mask`` would equal ``w`` bit
 for bit), in place in buffers kept for the run, and write the gradients
-straight into the scratch.  The update then covers the whole network in at
-most one dense pass over a slice of the buffers and one gather and scatter
-of the survivors of tensors with at least ``SURVIVOR_UPDATE_MIN_SIZE``
-positions and a density below ``SURVIVOR_UPDATE_BELOW`` (see ``StepPlan``).
+straight into the scratch.  The update then covers the whole network in one
+in-place pass per stretch of consecutive tensors updated at all positions,
+plus one gather and scatter of the survivors of the weights with at least
+``SURVIVOR_UPDATE_MIN_SIZE`` positions and a density below
+``SURVIVOR_UPDATE_BELOW`` (see ``StepPlan``).
 Surviving positions come out bitwise equal to a loop of the masked
 ``loss_and_grad`` + ``sgd_step``, and off-mask positions are 0 in both.
 
@@ -148,14 +149,6 @@ class ParamSet:
 
     def copy(self) -> "ParamSet":
         return ParamSet.on_buffer(self.buffer.copy(), self.shapes())
-
-    def equals_bitwise(self, other: "ParamSet") -> bool:
-        if self.names() != other.names():
-            return False
-        return all(
-            np.array_equal(self[n], other[n], equal_nan=True)
-            for n in self._tensors
-        )
 
 
 @dataclass(frozen=True)
@@ -501,7 +494,7 @@ def effective_lr(cfg: TrainConfig, epoch: int) -> float:
 # two paths cost the same near density 0.2 with no weight decay and near 0.3
 # with weight decay 1e-4 (measurement in CHANGES.md).
 SURVIVOR_UPDATE_BELOW = 0.2
-# Smaller tensors always take the dense update: its five numpy calls cost
+# Smaller tensors always take the in-place update: its five numpy calls cost
 # less than the gathers and scatters, which break even with it at 64 x 128
 # positions and 5% density.
 SURVIVOR_UPDATE_MIN_SIZE = 8192
@@ -512,56 +505,55 @@ class StepPlan:
 
     A masked weight tensor of at least ``SURVIVOR_UPDATE_MIN_SIZE`` positions
     and below ``SURVIVOR_UPDATE_BELOW`` density is updated at its survivors
-    only.  Every other tensor is updated at all its positions, with its mask
-    applied to the gradient if it has pruned ones.  The longest stretch of
-    consecutive all-position tensors is one slice of the flat buffers,
-    updated in place: the dense pass.  The survivors, and the all-position
-    tensors outside that stretch, are gathered into compact rows (decayed
-    weights first, then biases), updated there and scattered back: the
-    survivor pass.  ``lr`` holds the learning rate of every epoch.
+    only: ``gather`` holds their buffer positions, gathered into the rows of
+    ``compact``, updated there and scattered back.  Every other tensor is
+    updated in place at all its positions, with its mask applied to the
+    gradient if it has pruned ones.  Consecutive such tensors form one
+    stretch of the flat buffers: ``stretches`` holds each stretch's slice,
+    its (part, mask) pairs and its decayed ``*.weight`` parts, the parts
+    relative to the slice.  ``lr`` holds the learning rate of every epoch.
     """
 
     def __init__(self, params: ParamSet, mask: "Mask | None", cfg: TrainConfig) -> None:
         self.lr = [effective_lr(cfg, epoch) for epoch in range(cfg.epochs)]
-        whole = []  # (start, stop, decayed, mask or None) of all-position tensors
-        gathered = []  # (buffer positions, decayed, mask or None)
+        runs: list[list] = []  # [start, stop, masks, decayed] of each in-place stretch
+        survivors = []
         for name, start, stop in params.offsets():
-            decayed = params.is_prunable(name)
+            prunable = params.is_prunable(name)
             m = mask[name].reshape(-1) if mask is not None and name in mask else None
             alive = None if m is None else np.flatnonzero(m)
             if alive is None or alive.size == m.size:
-                whole.append((start, stop, decayed, None))
-            elif m.size >= SURVIVOR_UPDATE_MIN_SIZE and alive.size < SURVIVOR_UPDATE_BELOW * m.size:
-                gathered.append((alive + start, decayed, None))
-            else:
-                whole.append((start, stop, decayed, m))
-        runs: list[list[tuple]] = []  # stretches of whole tensors that follow each other
-        for entry in whole:
-            if runs and runs[-1][-1][1] == entry[0]:
-                runs[-1].append(entry)
-            else:
-                runs.append([entry])
-        dense = max(runs, key=lambda run: run[-1][1] - run[0][0], default=[])
-        gathered += [(np.arange(a, b), dec, m) for run in runs if run is not dense
-                     for a, b, dec, m in run]
-
-        lo = dense[0][0] if dense else 0
-        self.dense = slice(lo, dense[-1][1]) if dense else None
-        self.dense_masks = [(slice(a - lo, b - lo), m) for a, b, _, m in dense if m is not None]
-        self.dense_decayed = [slice(a - lo, b - lo) for a, b, dec, _ in dense if dec]
-
-        gathered.sort(key=lambda g: not g[1])  # stable: decayed positions first
-        self.gather = np.concatenate([g[0] for g in gathered]) if gathered else np.empty(0, np.intp)
-        self.gather_decayed = sum(g[0].size for g in gathered if g[1])
-        self.gather_mask = None
-        if any(m is not None for _, _, m in gathered):
-            self.gather_mask = np.concatenate(
-                [np.ones(pos.size) if m is None else m for pos, _, m in gathered])
+                m = None
+            elif (prunable and m.size >= SURVIVOR_UPDATE_MIN_SIZE
+                  and alive.size < SURVIVOR_UPDATE_BELOW * m.size):
+                survivors.append(alive + start)
+                continue
+            if not runs or runs[-1][1] != start:
+                runs.append([start, start, [], []])
+            run = runs[-1]
+            part = slice(start - run[0], stop - run[0])
+            run[1] = stop
+            if m is not None:
+                run[2].append((part, m))
+            if prunable:
+                run[3].append(part)
+        self.stretches = [(slice(a, b), masks, decayed) for a, b, masks, decayed in runs]
+        self.gather = np.concatenate(survivors) if survivors else np.empty(0, np.intp)
         self.compact = np.empty((4, self.gather.size))
 
 
-def _momentum(w: np.ndarray, g: np.ndarray, v: np.ndarray, momentum: float, lr: float) -> None:
-    """``v = momentum * v + g; w -= lr * v`` in place, with g as scratch."""
+def _update(w: np.ndarray, g: np.ndarray, v: np.ndarray, masks: list, decayed: list,
+            decay: float, scratch: np.ndarray | None, momentum: float, lr: float) -> None:
+    """``g *= m; g += decay * w; v = momentum * v + g; w -= lr * v`` in place,
+    the mask multiply on each (part, m) of ``masks``, the decay term (built in
+    ``scratch``) on each part in ``decayed``, and g as scratch at the end."""
+    for part, m in masks:
+        masked = g[part]
+        masked *= m
+    if decay != 0.0:
+        for part in decayed:
+            term = g[part]
+            term += np.multiply(w[part], decay, out=scratch[part])
     v *= momentum
     v += g
     np.multiply(v, lr, out=g)
@@ -586,44 +578,31 @@ def sgd_step(
     With a ``StepPlan`` built for ``params`` and ``mask`` (as ``train``
     does), ``grads`` must be ``state.grads``, which the update overwrites,
     and the off-mask weights and velocities must already be exactly 0.  The
-    whole network is then updated in at most two passes over the flat
-    buffers: one in-place dense pass over a slice, which multiplies the
-    gradient by the mask of each tensor in it that has one, and one gather,
-    update and scatter of the survivors and of the tensors outside that
-    slice.  Positions outside both stay untouched, so off-mask entries stay
-    0 with no re-zeroing.  Every position gets bitwise the result of the
-    per-tensor update ``g *= mask; g += weight_decay * w; v = momentum * v
-    + g; w -= lr * v``, and surviving positions the result without a plan.
+    network is then updated in one in-place pass per stretch of consecutive
+    all-position tensors, which multiplies the gradient by the mask of each
+    tensor in it that has one, and one gather, update and scatter of the
+    survivors of the other tensors, which are all decayed and need no mask.
+    Their pruned positions stay untouched, so off-mask entries stay 0 with no
+    re-zeroing.  Every position gets bitwise the result of the per-tensor
+    update ``g *= mask; g += weight_decay * w; v = momentum * v + g; w -= lr
+    * v``, and surviving positions the result without a plan.
     """
     if plan is not None:
         if grads is not state.grads:
             raise ValueError("with a plan, grads must be state.grads")
         lr, decay = plan.lr[epoch], cfg.weight_decay
         w, g, v = params.buffer, state.grad_buffer, state.velocity_buffer
-        if plan.dense is not None:
-            wd, gd, vd = w[plan.dense], g[plan.dense], v[plan.dense]
-            for part, m in plan.dense_masks:
-                masked = gd[part]
-                masked *= m
-            if decay != 0.0:
-                buf = state.decay_buffer()[plan.dense]
-                for part in plan.dense_decayed:
-                    decayed = gd[part]
-                    decayed += np.multiply(wd[part], decay, out=buf[part])
-            _momentum(wd, gd, vd, cfg.momentum, lr)
+        scratch = state.decay_buffer() if decay != 0.0 else None
+        for part, masks, decayed in plan.stretches:
+            _update(w[part], g[part], v[part], masks, decayed, decay,
+                    None if scratch is None else scratch[part], cfg.momentum, lr)
         if plan.gather.size:
             idx = plan.gather
             gs, ws, vs, buf = plan.compact
             g.take(idx, out=gs, mode="clip")
             w.take(idx, out=ws, mode="clip")
             v.take(idx, out=vs, mode="clip")
-            if plan.gather_mask is not None:
-                gs *= plan.gather_mask
-            if decay != 0.0:
-                k = plan.gather_decayed
-                decayed = gs[:k]
-                decayed += np.multiply(ws[:k], decay, out=buf[:k])
-            _momentum(ws, gs, vs, cfg.momentum, lr)
+            _update(ws, gs, vs, [], [slice(None)], decay, buf, cfg.momentum, lr)
             w[idx] = ws
             v[idx] = vs
         state.step_count += 1

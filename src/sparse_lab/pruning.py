@@ -66,12 +66,6 @@ class Mask:
     def total(self) -> int:
         return sum(a.size for a in self._entries.values())
 
-    def is_subset_of(self, other: "Mask") -> bool:
-        """True when every 1 in self is also 1 in other (monotonicity)."""
-        return self.names() == other.names() and all(
-            np.all(self._entries[n] <= other._entries[n]) for n in self._entries
-        )
-
 
 def sparsity(mask: Mask) -> float:
     """Fraction of prunable weight positions masked out (biases excluded)."""

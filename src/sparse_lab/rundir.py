@@ -29,6 +29,7 @@ import shutil
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .data import train_count
 from .nn import EpochMetrics, MlpArchitecture, TrainConfig
 from .pruning import PruneScope
 from .util import MAX_SEED, ConfigError
@@ -56,8 +57,9 @@ class DatasetSpec:
     Each kind reads and checks only its own fields.  ``idx`` reads the four
     file paths (non-empty) and ``limit`` (None for the whole training set,
     else >= 1); ``blobs`` reads ``n_per_class``, ``num_classes`` and ``dim``
-    (each >= 1), ``separation`` (finite), ``train_fraction`` (in (0, 1)) and
-    ``data_seed`` (unsigned 64-bit).
+    (each >= 1), ``separation`` (finite), ``train_fraction`` (in (0, 1),
+    leaving both sides of the split non-empty) and ``data_seed`` (unsigned
+    64-bit).
     """
 
     kind: str  # "idx" | "blobs"
@@ -87,6 +89,10 @@ class DatasetSpec:
                 raise ConfigError(f"separation must be finite, got {self.separation}")
             if not 0.0 < self.train_fraction < 1.0:
                 raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+            n = self.n_per_class * self.num_classes
+            if train_count(n, self.train_fraction) is None:
+                raise ConfigError(f"split of {n} samples at train_fraction {self.train_fraction} "
+                                  "leaves an empty side")
             if not 0 <= self.data_seed <= MAX_SEED:
                 raise ConfigError(f"data_seed must fit in unsigned 64 bits, got {self.data_seed}")
         else:

@@ -5,6 +5,8 @@ against central finite differences of the loss, and pruning against a
 brute-force sort over (|value|, layer order, flat index).  The test suite
 uses the same oracles, and one more: the per-sample amplification loop that
 the stacked Jacobians of ``probes.amplification_check`` must match bit for bit.
+It also takes its two comparisons from here: ``equals_bitwise`` for ParamSets
+and ``is_subset_of`` for masks.
 """
 
 from __future__ import annotations
@@ -106,6 +108,20 @@ def amplification_reference(params: ParamSet, pre: list[np.ndarray]) -> list[flo
             total += float(np.abs(jac).sum(axis=0).max())
         ratios.append(total / samples)
     return ratios
+
+
+def equals_bitwise(a: ParamSet, b: ParamSet) -> bool:
+    """Same names in the same order, and equal tensors with NaNs equal."""
+    return a.names() == b.names() and all(
+        np.array_equal(a[n], b[n], equal_nan=True) for n in a.names()
+    )
+
+
+def is_subset_of(mask: Mask, other: Mask) -> bool:
+    """True when every 1 in ``mask`` is also 1 in ``other`` (monotonicity)."""
+    return mask.names() == other.names() and all(
+        np.all(mask[n] <= other[n]) for n in mask.names()
+    )
 
 
 def run_gradient_check(num_nets: int = 5, tolerance: float = 1e-6) -> tuple[bool, str]:

@@ -118,6 +118,11 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
             f"architecture expects input dim {cfg.arch.input_dim}, "
             f"dataset provides {train_clean.dim}"
         )
+    if cfg.arch.num_classes < train_clean.num_classes:
+        raise ValueError(
+            f"architecture has {cfg.arch.num_classes} outputs, "
+            f"dataset has {train_clean.num_classes} classes"
+        )
     run_dir.mkdir(parents=True, exist_ok=True)
     if not is_run_dir(run_dir):
         write_config(run_dir, cfg)

@@ -33,6 +33,7 @@ from sparse_lab.checkpoint import (
     save_tensors,
     verify_tensors,
 )
+from sparse_lab.selftest import equals_bitwise
 
 
 class TestTensorRoundTrip:
@@ -65,7 +66,7 @@ class TestTensorRoundTrip:
         path = tmp_path / "p.bin"
         save_params(path, params)
         loaded = load_params(path)
-        assert loaded.equals_bitwise(params)
+        assert equals_bitwise(loaded, params)
         assert loaded.prunable_names() == params.prunable_names()
         assert not loaded.is_prunable("fc1.bias")
 

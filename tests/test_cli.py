@@ -274,6 +274,26 @@ class TestConfigBoundary:
         assert cli_main(sketch_args(tmp_path / "g", command="sweep", arch="4,3,10") + GRID) == 2
         assert capsys.readouterr().err.count("runtime failure: architecture expects input dim 4") == 2
 
+    def test_too_few_outputs_for_the_classes_writes_nothing(self, tmp_path, capsys):
+        # 4 classes do not fit 3 outputs: refused once the data loads, before any write
+        out = tmp_path / "x"
+        assert cli_main(sketch_args(out, arch="8,6,3")) == 2
+        assert "architecture has 3 outputs, dataset has 4 classes" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli_main(sketch_args(out, arch="8,6,4")) == 0
+        assert (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("sizes", [
+        {"n-per-class": "3", "num-classes": "2", "train-fraction": "0.05"},
+        {"n-per-class": "1", "num-classes": "1"},
+    ])
+    def test_unsplittable_blobs_are_config_error(self, tmp_path, capsys, sizes):
+        assert cli_main(sketch_args(tmp_path / "x", **sizes)) == 1
+        assert cli_main(sketch_args(tmp_path / "g", command="sweep", **sizes) + GRID) == 1
+        err = capsys.readouterr().err
+        assert err.count("leaves an empty side") == 2 and "runtime failure" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_cell_refused_before_any_cell_runs(self, tmp_path, capsys):
         args = sketch_args(tmp_path / "g", command="sweep")
         assert cli_main(args + ["--lambdas", "0,-1", "--epsilons", "0", "--seeds", "1"]) == 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sparse_lab import (
+    DatasetSpec,
     LabeledDataset,
     MlpArchitecture,
     OptimizerState,
@@ -22,6 +23,7 @@ from sparse_lab import (
     train,
 )
 from sparse_lab.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, MNIST_MEAN, MNIST_STD
+from sparse_lab.util import ConfigError
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -230,3 +232,20 @@ class TestSplit:
             split(ds, 0.1, seed=8)
         with pytest.raises(ValueError):
             split(ds, 0.99, seed=8)
+
+    @pytest.mark.parametrize("n_per_class,num_classes,fraction,splits", [
+        (3, 2, 0.05, False), (1, 1, 0.8, False), (1, 2, 0.1, False), (1, 2, 0.99, False),
+        (3, 2, 0.95, False), (3, 2, 0.1, True), (1, 2, 0.5, True),
+    ])
+    def test_blobs_spec_refuses_what_split_refuses(self, n_per_class, num_classes, fraction, splits):
+        ds = synth_blobs(n_per_class, num_classes, 2, 1.0, seed=7)
+        spec = dict(kind="blobs", n_per_class=n_per_class, num_classes=num_classes,
+                    train_fraction=fraction)
+        if splits:
+            split(ds, fraction, seed=8)
+            DatasetSpec(**spec)
+        else:
+            with pytest.raises(ValueError, match="empty side"):
+                split(ds, fraction, seed=8)
+            with pytest.raises(ConfigError, match="empty side"):
+                DatasetSpec(**spec)

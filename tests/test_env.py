@@ -37,6 +37,33 @@ def test_existing_blas_setting_respected():
     assert run_clean(code, OPENBLAS_NUM_THREADS="7") == "7"
 
 
+def import_warnings(first: str, **extra_env: str) -> list[str]:
+    """Warnings raised by ``import sparse_lab`` after the statement ``first``."""
+    code = (f"import warnings\n{first}\n"
+            "with warnings.catch_warnings(record=True) as seen:\n"
+            "    warnings.simplefilter('always')\n"
+            "    import sparse_lab\n"
+            "for w in seen: print(w.category.__name__, w.message)\n")
+    out = run_clean(code, **extra_env)
+    return out.splitlines() if out else []
+
+
+def test_numpy_imported_first_warns_once():
+    seen = import_warnings("import numpy")
+    assert len(seen) == 1
+    assert seen[0].startswith("RuntimeWarning")
+    assert "SPARSE_LAB_THREADS" in seen[0] and "import sparse_lab first" in seen[0]
+
+
+def test_sparse_lab_imported_first_is_silent():
+    assert import_warnings("") == []
+
+
+def test_preset_thread_variables_are_silent():
+    # a child process that inherits every variable gets its cap without sparse_lab
+    assert import_warnings("import numpy", **{v: "1" for v in BLAS_VARS}) == []
+
+
 def test_conftest_imports_sparse_lab_before_numpy():
     # a numpy import ahead of sparse_lab loads BLAS before the cap is set
     tree = ast.parse((Path(__file__).parent / "conftest.py").read_text())

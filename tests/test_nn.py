@@ -23,7 +23,7 @@ from sparse_lab import (
     train,
 )
 
-from sparse_lab.selftest import kink_free, max_relative_gradient_error
+from sparse_lab.selftest import equals_bitwise, kink_free, max_relative_gradient_error
 
 from conftest import make_params
 
@@ -38,12 +38,12 @@ class TestInitParams:
     def test_same_seed_bitwise_identical(self):
         a = init_params(MlpArchitecture([3, 4, 2]), seed=99)
         b = init_params(MlpArchitecture([3, 4, 2]), seed=99)
-        assert a.equals_bitwise(b)
+        assert equals_bitwise(a, b)
 
     def test_different_seed_differs(self):
         a = init_params(MlpArchitecture([3, 4, 2]), seed=99)
         b = init_params(MlpArchitecture([3, 4, 2]), seed=100)
-        assert not a.equals_bitwise(b)
+        assert not equals_bitwise(a, b)
 
     def test_lenet_300_100_param_count(self):
         # 784*300+300 + 300*100+100 + 100*10+10
@@ -300,7 +300,7 @@ class TestTrain:
         state = OptimizerState(small_net)
         history = train(small_net, None, state, ds, TrainConfig(epochs=0, seed=3))
         assert history == []
-        assert small_net.equals_bitwise(before)
+        assert equals_bitwise(small_net, before)
 
     def test_learns_separable_blobs(self):
         ds = synth_blobs(n_per_class=40, num_classes=2, dim=2, separation=10.0, seed=6)
@@ -321,7 +321,7 @@ class TestTrain:
             train(params, None, OptimizerState(params), ds, cfg)
             return params
 
-        assert run().equals_bitwise(run())
+        assert equals_bitwise(run(), run())
 
     def test_masked_stasis_through_training(self):
         ds = synth_blobs(n_per_class=20, num_classes=2, dim=3, separation=2.0, seed=9)

@@ -17,7 +17,7 @@ from sparse_lab import (
     sparsity,
 )
 
-from sparse_lab.selftest import brute_force_prune
+from sparse_lab.selftest import brute_force_prune, equals_bitwise, is_subset_of
 
 from conftest import make_params
 
@@ -51,7 +51,7 @@ class TestPrune:
         mask = Mask.full(params)
         for _ in range(4):
             new = prune(params, mask, 0.3, PruneScope.LAYERWISE)
-            assert new.is_subset_of(mask)
+            assert is_subset_of(new, mask)
             mask = new
         assert Mask.full(params).surviving() == params["fc1.weight"].size + params["fc2.weight"].size
 
@@ -168,7 +168,7 @@ class TestRewind:
     def test_full_mask_restores_bitwise(self):
         _, params, init, state = self._setup()
         rewind(params, init, Mask.full(params), state)
-        assert params.equals_bitwise(init)
+        assert equals_bitwise(params, init)
 
     def test_masked_positions_zeroed(self):
         _, params, init, state = self._setup()
@@ -196,7 +196,7 @@ class TestRewind:
         rewind(params, init, mask, state)
         first = params.copy()
         rewind(params, init, mask, state)
-        assert params.equals_bitwise(first)
+        assert equals_bitwise(params, first)
 
     def test_fingerprint_mismatch_rejected(self):
         _, params, init, state = self._setup()

@@ -120,6 +120,23 @@ def test_train_with_tensors_gathered_outside_the_dense_stretch(weight_decay):
     assert_same(params, state, o_params, o_state)
 
 
+def test_masked_bias_is_never_decayed(monkeypatch):
+    # only a *.weight takes the survivor update, which always decays
+    monkeypatch.setattr(nn, "SURVIVOR_UPDATE_BELOW", 1.01)
+    monkeypatch.setattr(nn, "SURVIVOR_UPDATE_MIN_SIZE", 0)
+    ds = synth_blobs(n_per_class=25, num_classes=4, dim=24, separation=2.0, seed=3)
+    cfg = TrainConfig(epochs=2, lr=0.1, momentum=0.9, weight_decay=1e-2, batch_size=16, seed=8)
+    params = init_params(ARCH, 4)
+    rng = np.random.default_rng(5)
+    mask = Mask({n: (rng.random(params[n].shape) < 0.5).astype(np.float64)
+                 for n in ("fc1.weight", "fc1.bias")})
+    params["fc1.bias"] = rng.standard_normal(params["fc1.bias"].shape) * mask["fc1.bias"]
+    state, o_params, o_state = OptimizerState(params), params.copy(), OptimizerState(params)
+    train(params, mask, state, ds, cfg)
+    masked_loop(o_params, mask, o_state, ds, cfg)
+    assert_same(params, state, o_params, o_state)
+
+
 def test_unmasked_train_equals_unmasked_loop():
     ds = synth_blobs(n_per_class=25, num_classes=4, dim=24, separation=2.0, seed=3)
     cfg = TrainConfig(epochs=2, lr=0.05, momentum=0.5, weight_decay=1e-4, batch_size=32, seed=2)
@@ -132,38 +149,53 @@ def test_unmasked_train_equals_unmasked_loop():
     assert_same(params, state, o_params, o_state)
 
 
+def in_place_layout(plan, params, mask):
+    """Each in-place stretch as (tensors it covers, masked ones, decayed ones),
+    names in buffer order.  Checks that a stretch and each of its parts span
+    whole tensors and that each attached mask is its tensor's."""
+    bounds = {n: (a, b) for n, a, b in params.offsets()}
+    tensor_at = {span: n for n, span in bounds.items()}
+    layout = []
+    for whole, masks, decayed in plan.stretches:
+        def names(parts):
+            return [tensor_at[(p.start + whole.start, p.stop + whole.start)] for p in parts]
+
+        covered = [n for n, (a, b) in bounds.items() if whole.start <= a and b <= whole.stop]
+        assert (bounds[covered[0]][0], bounds[covered[-1]][1]) == (whole.start, whole.stop)
+        masked = names(p for p, _ in masks)
+        for n, (_, m) in zip(masked, masks):
+            assert np.array_equal(m, mask[n].reshape(-1)), n
+        layout.append((covered, masked, names(decayed)))
+    return layout
+
+
 def test_plan_splits_tensors_at_the_crossover():
     params = init_params(ARCH, 0)
     assert params["fc1.weight"].size >= nn.SURVIVOR_UPDATE_MIN_SIZE > params["fc3.weight"].size
     sparse = random_mask(params, nn.SURVIVOR_UPDATE_BELOW / 2, np.random.default_rng(1))
     mask = Mask({
         "fc1.weight": sparse["fc1.weight"],  # large and sparse: survivors only
-        "fc2.weight": np.ones_like(params["fc2.weight"]),  # full: plain update
-        "fc3.weight": sparse["fc3.weight"],  # small: masked dense update
+        "fc2.weight": np.ones_like(params["fc2.weight"]),  # full: in place, no mask
+        "fc3.weight": sparse["fc3.weight"],  # small: in place with its mask
     })
     plan = nn.StepPlan(params, mask, TrainConfig(epochs=1))
-    offsets = {name: (start, stop) for name, start, stop in params.offsets()}
-    # everything after fc1.weight is one stretch of all-position tensors
-    assert plan.dense == slice(offsets["fc1.bias"][0], params.total_count())
-    fc3 = slice(*(i - offsets["fc1.bias"][0] for i in offsets["fc3.weight"]))
-    assert [part for part, _ in plan.dense_masks] == [fc3]
     assert np.array_equal(plan.gather, np.flatnonzero(mask["fc1.weight"]))
-    assert plan.gather_mask is None and plan.gather_decayed == plan.gather.size
+    assert in_place_layout(plan, params, mask) == [
+        (["fc1.bias", "fc2.weight", "fc2.bias", "fc3.weight", "fc3.bias"],
+         ["fc3.weight"], ["fc2.weight", "fc3.weight"]),
+    ]
 
 
-def test_plan_gathers_tensors_outside_the_dense_stretch():
+def test_plan_splits_stretches_at_survivor_updated_tensors():
     params = init_params(ARCH, 0)
     mask = mixed_mask(params)
     plan = nn.StepPlan(params, mask, TrainConfig(epochs=1))
     offsets = {name: (start, stop) for name, start, stop in params.offsets()}
-    assert plan.dense == slice(0, offsets["fc1.bias"][1])  # fc1 outweighs fc2.bias..fc3.bias
-    fc2 = np.flatnonzero(mask["fc2.weight"]) + offsets["fc2.weight"][0]
-    expected = [fc2, np.arange(*offsets["fc3.weight"]),  # decayed first
-                np.arange(*offsets["fc2.bias"]), np.arange(*offsets["fc3.bias"])]
-    assert np.array_equal(plan.gather, np.concatenate(expected))
-    assert plan.gather_decayed == fc2.size + params["fc3.weight"].size
-    assert np.array_equal(plan.gather_mask[fc2.size:plan.gather_decayed], mask["fc3.weight"].reshape(-1))
-    assert np.all(np.delete(plan.gather_mask, np.s_[fc2.size:plan.gather_decayed]) == 1.0)
+    assert np.array_equal(plan.gather, np.flatnonzero(mask["fc2.weight"]) + offsets["fc2.weight"][0])
+    assert in_place_layout(plan, params, mask) == [
+        (["fc1.weight", "fc1.bias"], ["fc1.weight"], ["fc1.weight"]),
+        (["fc2.bias", "fc3.weight", "fc3.bias"], ["fc3.weight"], ["fc3.weight"]),
+    ]
 
 
 def test_layer_names_worked_out_once_per_call(monkeypatch):
