@@ -10,18 +10,20 @@ gradient whatever the stored values are.
 A network lives in one buffer: every ``ParamSet`` entry is a view of one
 flat float64 array, and ``OptimizerState`` holds the velocities and a
 gradient scratch in two more arrays of the same layout, made once per run.
+Every pass runs through a ``Step``: the layer pairs, the masked weights, the
+pass buffers, the gradient views and the update plan in one object.  The
+run's step lives on its ``OptimizerState``, so its rounds and evaluations
+reuse one set of buffers.
 
 ``train`` pays for masking once per call instead of once per step.  It zeroes
 the off-mask weights and velocities, after which they stay exactly 0: the
-forward and backward passes run unmasked (``w * mask`` would equal ``w`` bit
-for bit), in place in buffers kept for the run, and write the gradients
-straight into the scratch.  The update then covers the whole network in one
-in-place pass per stretch of consecutive tensors updated at all positions,
-plus one gather and scatter of the survivors of the weights with at least
-``SURVIVOR_UPDATE_MIN_SIZE`` positions and a density below
-``SURVIVOR_UPDATE_BELOW`` (see ``StepPlan``).
-Surviving positions come out bitwise equal to a loop of the masked
-``loss_and_grad`` + ``sgd_step``, and off-mask positions are 0 in both.
+passes run unmasked (``w * mask`` would equal ``w`` bit for bit) and write
+the gradients straight into the scratch.  The update covers the network in
+one in-place pass per stretch of consecutive tensors updated at all
+positions, plus one gather and scatter of the survivors of the large sparse
+weights (see ``Step``).  Surviving positions come out bitwise equal to a loop
+of the masked ``loss_and_grad`` + ``sgd_step``, and off-mask positions are 0
+in both.
 
 All tensors are C-contiguous float64; all randomness flows through
 numpy PCG64 generators seeded explicitly, so identical inputs give
@@ -231,16 +233,15 @@ class TrainConfig:
 
 
 class OptimizerState:
-    """Momentum, a gradient scratch and a step counter for one ParamSet.
+    """Momentum, a gradient scratch, a step counter and the run's ``Step``.
 
     ``velocity`` and ``grads`` map each parameter name to its view of a flat
     buffer laid out like ``params.buffer``, and both buffers are allocated
     here, once per run.  ``train`` writes each step's gradients into
     ``grads``, and ``sgd_step`` updates from there, so a step allocates no
-    parameter-sized array.  With weight decay the update needs one more
-    buffer of that layout for the decay term, made at the first decayed step.
-    ``train``'s batch and activation buffers are kept here too, so that the
-    rounds of a run reuse them instead of allocating and freeing them per call.
+    parameter-sized array.  The run's ``Step`` is kept here too
+    (``step_for``), so that the rounds of a run and their evaluations reuse
+    its buffers instead of allocating and freeing them per call.
     """
 
     def __init__(self, params: ParamSet) -> None:
@@ -249,22 +250,16 @@ class OptimizerState:
         self.velocity: dict[str, np.ndarray] = params.views(self.velocity_buffer)
         self.grads: dict[str, np.ndarray] = params.views(self.grad_buffer)
         self.step_count: int = 0
-        self._decay_buffer: np.ndarray | None = None
-        self._passes: _Passes | None = None
+        self._step: Step | None = None
 
-    def training_passes(
-        self, layers: list[tuple[np.ndarray, np.ndarray]], rows: int, inputs: int
-    ) -> "_Passes":
-        """``train``'s step buffers, made at its first call and kept while the
-        batch size, the batch width and the layer shapes stay the same."""
-        if self._passes is None or self._passes.key != (rows, inputs, [w.shape for w, _ in layers]):
-            self._passes = _Passes(layers, rows, inputs)
-        return self._passes
-
-    def decay_buffer(self) -> np.ndarray:
-        if self._decay_buffer is None:
-            self._decay_buffer = np.empty_like(self.grad_buffer)
-        return self._decay_buffer
+    def step_for(self, params: ParamSet, mask: "Mask | None", cfg: TrainConfig | None = None) -> "Step":
+        """The run's ``Step``, aimed at ``mask`` and ``cfg``: made at the first
+        call, then kept with its buffers while ``params`` is the same set."""
+        if self.grad_buffer.shape != params.buffer.shape:
+            raise ValueError("the optimizer state was not built for these parameters")
+        if self._step is None or self._step.params is not params:
+            self._step = Step(params, None, None, self.grads)
+        return self._step.aim(mask, cfg)
 
     def reset(self) -> None:
         self.velocity_buffer[...] = 0.0
@@ -287,34 +282,6 @@ def init_params(arch: MlpArchitecture, seed: int) -> ParamSet:
     return params
 
 
-def _layer_names(params: ParamSet) -> list[tuple[str, str]]:
-    """(weight, bias) name pairs in layer order: ``<layer>.weight`` with ``<layer>.bias``."""
-    pairs = []
-    for w in params.prunable_names():
-        b = w.rpartition(".")[0] + ".bias"
-        if b not in params:
-            raise ValueError(f"missing bias for layer {w!r}")
-        pairs.append((w, b))
-    return pairs
-
-
-def effective_weights(
-    params: ParamSet, mask: "Mask | None", pairs: list[tuple[str, str]] | None = None
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (weight, bias) with the mask absorbed into the weights.
-
-    ``pairs`` is ``_layer_names(params)``, passed by callers that loop over
-    one ParamSet so the names are worked out once.
-    """
-    out = []
-    for wname, bname in _layer_names(params) if pairs is None else pairs:
-        w = params[wname]
-        if mask is not None and wname in mask:
-            w = w * mask[wname]
-        out.append((w, params[bname]))
-    return out
-
-
 def forward_trace(
     params: ParamSet, mask: "Mask | None", batch: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -323,11 +290,12 @@ def forward_trace(
     Returns (logits, pre_activations, activations) where activations[0] is
     the input batch and activations[l] is the post-ReLU output of layer l
     (the logits for the final layer).  The masked weights are built once, by
-    ``effective_weights``, before the layers run.
+    ``Step.layers``, before the layers run.
     """
-    layers = effective_weights(params, mask)
+    step = Step(params, mask)
     batch = _as_batch(batch)
-    return _Passes(layers, batch.shape[0]).forward(layers, batch)
+    step.lay_out(batch.shape[0])
+    return step.forward(step.layers(), batch)
 
 
 def _as_batch(batch: np.ndarray) -> np.ndarray:
@@ -337,39 +305,131 @@ def _as_batch(batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-class _Passes:
-    """Buffers for the forward and backward passes over up to ``rows`` samples.
+# Surviving share of a weight tensor below which ``train`` updates only the
+# surviving positions.  A gathered, updated and scattered survivor costs about
+# seven times a position of the dense in-place update; on 784-300-100-10 the
+# two paths cost the same near density 0.2 with no weight decay and near 0.3
+# with weight decay 1e-4 (measurement in CHANGES.md).
+SURVIVOR_UPDATE_BELOW = 0.2
+# Smaller tensors always take the in-place update: its five numpy calls cost
+# less than the gathers and scatters, which break even with it at 64 x 128
+# positions and 5% density.
+SURVIVOR_UPDATE_MIN_SIZE = 8192
 
-    The passes compute into them in place with the operations, in the order,
-    of the plain expressions ``h @ w.T + b``, ``np.maximum(z, 0.0)``,
-    ``delta.T @ h``, ``delta.sum(axis=0)`` and ``(delta @ w) * (z > 0.0)``,
-    so every result is bitwise theirs.  ``layers`` is the (weight, bias) list
-    of ``effective_weights``.
 
-    Given ``inputs``, the width of a batch, they also hold a training step:
-    the batch, its labels and each hidden layer's ReLU gate; the gradient
-    w.r.t. a hidden activation overwrites that activation once the backward
-    pass has used it.  With ``keep_pre`` false each activation overwrites its
-    pre-activation, for callers that want only the logits.
+class Step:
+    """A network's forward and backward passes, their buffers and its update plan.
+
+    Built from ``(params, mask, cfg)``, with the (weight, bias) name
+    ``pairs`` worked out once.  Every array it keeps lives at the start of a
+    buffer in ``buffers``, which only grows, so the step ``OptimizerState``
+    keeps for a run serves all its rounds.  The passes compute in place with
+    the operations, in the order, of the plain expressions ``w * mask``,
+    ``h @ w.T + b``, ``np.maximum(z, 0.0)``, ``delta.T @ h``,
+    ``delta.sum(axis=0)`` and ``(delta @ w) * (z > 0.0)``, so every result is
+    bitwise theirs.  The gradients go to ``grads``; the gradient w.r.t. a
+    hidden activation overwrites that activation once used.
+
+    Given ``cfg``, ``aim`` plans every ``update`` of a ``train`` call.  A
+    masked weight tensor of at least ``SURVIVOR_UPDATE_MIN_SIZE``
+    positions and below ``SURVIVOR_UPDATE_BELOW`` density is updated at its
+    survivors only: ``gather`` holds their buffer positions, gathered into
+    the rows of ``compact``, updated there and scattered back.  Every other
+    tensor is updated in place at all its positions, with its mask applied to
+    the gradient if it has pruned ones.  Consecutive such tensors form one
+    stretch of the flat buffers: ``stretches`` holds each stretch's slice,
+    its (part, mask) pairs and its decayed ``*.weight`` parts, the parts
+    relative to the slice.  ``lr`` holds the learning rate of every epoch.
     """
 
-    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]], rows: int,
-                 inputs: int | None = None, keep_pre: bool = True) -> None:
-        widths = [w.shape[0] for w, _ in layers]
-        self.key = (rows, inputs, [w.shape for w, _ in layers])
-        self.offsets = np.arange(rows) * widths[-1]  # flat index of each row's first logit
-        self.pre = [np.empty((rows, k)) for k in widths]
-        self.post = [np.empty((rows, k)) for k in widths[:-1]] if keep_pre else self.pre[:-1]
-        self.dlogits = np.empty((rows, widths[-1]))
-        if inputs is not None:
-            self.batch = np.empty((rows, inputs))
-            self.labels = np.empty(rows, dtype=np.int64)
-            self.gate = [np.empty((rows, k), dtype=bool) for k in widths[:-1]]
+    def __init__(self, params: ParamSet, mask: "Mask | None", cfg: TrainConfig | None = None,
+                 grads: dict[str, np.ndarray] | None = None) -> None:
+        self.params = params
+        self.pairs = [(w, w.rpartition(".")[0] + ".bias") for w in params.prunable_names()]
+        for w, b in self.pairs:
+            if b not in params:
+                raise ValueError(f"missing bias for layer {w!r}")
+        self.widths = [params[w].shape[0] for w, _ in self.pairs]
+        self.grads = None if grads is None else [(grads[w], grads[b]) for w, b in self.pairs]
+        self.buffers: dict[str, np.ndarray] = {}
+        self.aim(mask, cfg)
+
+    def _kept(self, name: str, shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray:
+        """An array of ``shape`` at the start of buffer ``name``, remade larger when too small."""
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def aim(self, mask: "Mask | None", cfg: TrainConfig | None = None) -> "Step":
+        """Point the step at ``mask`` and, given ``cfg``, plan its updates."""
+        self.mask, self.cfg = mask, cfg
+        if cfg is None:
+            return self
+        self.lr = [effective_lr(cfg, epoch) for epoch in range(cfg.epochs)]
+        runs: list[list] = []  # [start, stop, masks, decayed] of each in-place stretch
+        survivors = []
+        for name, start, stop in self.params.offsets():
+            prunable = self.params.is_prunable(name)
+            m = mask[name].reshape(-1) if mask is not None and name in mask else None
+            alive = None if m is None else np.flatnonzero(m)
+            if alive is None or alive.size == m.size:
+                m = None
+            elif (prunable and m.size >= SURVIVOR_UPDATE_MIN_SIZE
+                  and alive.size < SURVIVOR_UPDATE_BELOW * m.size):
+                survivors.append(alive + start)
+                continue
+            if not runs or runs[-1][1] != start:
+                runs.append([start, start, [], []])
+            run = runs[-1]
+            part = slice(start - run[0], stop - run[0])
+            run[1] = stop
+            if m is not None:
+                run[2].append((part, m))
+            if prunable:
+                run[3].append(part)
+        self.stretches = [(slice(a, b), masks, decayed) for a, b, masks, decayed in runs]
+        self.gather = np.concatenate(survivors) if survivors else np.empty(0, np.intp)
+        self.compact = self._kept("compact", (4, self.gather.size))
+        self.scratch = self._kept("decay", self.params.buffer.shape) if cfg.weight_decay else None
+        return self
+
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weight, bias), each masked weight ``w * mask`` in a kept buffer."""
+        out = []
+        for wname, bname in self.pairs:
+            w = self.params[wname]
+            if self.mask is not None and wname in self.mask:
+                w = np.multiply(w, self.mask[wname], out=self._kept(wname, w.shape))
+            out.append((w, self.params[bname]))
+        return out
+
+    def lay_out(self, rows: int, keep_pre: bool = True) -> None:
+        """Place the pass buffers for up to ``rows`` samples: each layer's
+        pre-activation, each hidden layer's activation and ReLU gate, and the
+        logits' gradient.  Without ``keep_pre`` each activation overwrites its
+        pre-activation, for callers that want only the logits."""
+        hidden = list(enumerate(self.widths[:-1]))
+        self.pre = [self._kept(f"pre{i}", (rows, k)) for i, k in enumerate(self.widths)]
+        self.post = [self._kept(f"post{i}", (rows, k)) for i, k in hidden] if keep_pre else self.pre[:-1]
+        self.gate = [self._kept(f"gate{i}", (rows, k), bool) for i, k in hidden] if keep_pre else []
+        self.dlogits = self._kept("dlogits", (rows, self.widths[-1]))
+
+    def check_labels(self, labels: np.ndarray, n: int) -> None:
+        """Raise ValueError unless ``labels`` are n >= 1 indices of the network's classes."""
+        if n == 0:
+            raise ValueError("batch must contain at least one sample")
+        if labels.shape != (n,):
+            raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
+        if labels.min() < 0 or labels.max() >= self.widths[-1]:
+            bad = labels[(labels < 0) | (labels >= self.widths[-1])][0]
+            raise ValueError(f"label {bad} out of range [0, {self.widths[-1]})")
 
     def forward(
         self, layers: list[tuple[np.ndarray, np.ndarray]], batch: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """``forward_trace`` of a float64 [B, D] batch, into the buffers."""
+        """``forward_trace`` of a float64 [B, D] batch, into the laid-out buffers."""
         n = batch.shape[0]
         pre: list[np.ndarray] = []
         acts: list[np.ndarray] = [batch]
@@ -387,20 +447,20 @@ class _Passes:
             acts.append(h)
         return h, pre, acts
 
-    def step(
-        self, layers: list[tuple[np.ndarray, np.ndarray]], n: int,
-        grads: list[tuple[np.ndarray, np.ndarray]],
+    def backprop(
+        self, layers: list[tuple[np.ndarray, np.ndarray]], batch: np.ndarray, picks: np.ndarray
     ) -> tuple[float, np.ndarray]:
-        """Loss and logits of the first ``n`` rows of ``batch`` and ``labels``
-        (labels already checked), with every layer's (weight, bias) gradient
-        written into ``grads``."""
-        logits, pre, acts = self.forward(layers, self.batch[:n])
+        """Loss and logits of ``batch``, whose label entries sit at the flat
+        indices ``picks`` of its logits (labels already checked), with every
+        layer's (weight, bias) gradient written into ``grads``."""
+        n = batch.shape[0]
+        logits, pre, acts = self.forward(layers, batch)
         delta = self.dlogits[:n]
-        loss = _cross_entropy(logits, self.offsets[:n] + self.labels[:n], delta)
+        loss = _cross_entropy(logits, picks, delta)
         if not math.isfinite(loss):
             raise FloatingPointError(f"non-finite loss {loss}")
         for idx in range(len(layers) - 1, -1, -1):
-            gw, gb = grads[idx]
+            gw, gb = self.grads[idx]
             np.matmul(delta.T, acts[idx], out=gw)
             np.add.reduce(delta, axis=0, out=gb)
             if idx > 0:
@@ -409,22 +469,28 @@ class _Passes:
                 delta = below
         return loss, logits
 
+    def update(self, state: OptimizerState, epoch: int) -> None:
+        """The planned ``sgd_step`` of ``state`` at ``epoch`` (see there)."""
+        cfg, lr, scratch = self.cfg, self.lr[epoch], self.scratch
+        w, g, v = self.params.buffer, state.grad_buffer, state.velocity_buffer
+        for part, masks, decayed in self.stretches:
+            _update(w[part], g[part], v[part], masks, decayed, cfg.weight_decay,
+                    None if scratch is None else scratch[part], cfg.momentum, lr)
+        if self.gather.size:
+            idx = self.gather
+            gs, ws, vs, buf = self.compact
+            g.take(idx, out=gs, mode="clip")
+            w.take(idx, out=ws, mode="clip")
+            v.take(idx, out=vs, mode="clip")
+            _update(ws, gs, vs, [], [slice(None)], cfg.weight_decay, buf, cfg.momentum, lr)
+            w[idx] = ws
+            v[idx] = vs
+
 
 def forward(params: ParamSet, mask: "Mask | None", batch: np.ndarray) -> np.ndarray:
     """Compute logits [B, num_classes]; masked weights contribute exactly 0."""
     logits, _, _ = forward_trace(params, mask, batch)
     return logits
-
-
-def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> None:
-    """Raise ValueError unless ``labels`` are n >= 1 class indices in [0, num_classes)."""
-    if n == 0:
-        raise ValueError("batch must contain at least one sample")
-    if labels.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
-    if labels.min() < 0 or labels.max() >= num_classes:
-        bad = labels[(labels < 0) | (labels >= num_classes)][0]
-        raise ValueError(f"label {bad} out of range [0, {num_classes})")
 
 
 def _cross_entropy_loss(
@@ -465,18 +531,15 @@ def loss_and_grad(
     """Mean softmax cross-entropy (excluding any L2 penalty) and exact
     reverse-mode gradients.  Gradients at masked-out positions are exactly 0.
     """
-    pairs = _layer_names(params)
-    layers = effective_weights(params, mask, pairs)
-    batch = _as_batch(batch)
+    batch = np.ascontiguousarray(_as_batch(batch))
     labels = np.asarray(labels, dtype=np.int64)
-    n = batch.shape[0]
-    _check_labels(labels, n, layers[-1][0].shape[0])
-    passes = _Passes(layers, n, batch.shape[1])
-    passes.batch[...] = batch
-    passes.labels[...] = labels
     grads = params.views(np.empty(params.total_count()))
-    loss, _ = passes.step(layers, n, [(grads[w], grads[b]) for w, b in pairs])
-    for wname, _ in pairs:
+    step = Step(params, mask, grads=grads)
+    n = batch.shape[0]
+    step.check_labels(labels, n)
+    step.lay_out(n)
+    loss, _ = step.backprop(step.layers(), batch, np.arange(n) * step.widths[-1] + labels)
+    for wname, _ in step.pairs:
         if mask is not None and wname in mask:
             grads[wname] *= mask[wname]
     return loss, grads
@@ -486,60 +549,6 @@ def effective_lr(cfg: TrainConfig, epoch: int) -> float:
     """lr * gamma^(number of milestones <= epoch)."""
     drops = sum(1 for m in cfg.lr_milestones if m <= epoch)
     return cfg.lr * cfg.lr_gamma**drops
-
-
-# Surviving share of a weight tensor below which ``train`` updates only the
-# surviving positions.  A gathered, updated and scattered survivor costs about
-# seven times a position of the dense in-place update; on 784-300-100-10 the
-# two paths cost the same near density 0.2 with no weight decay and near 0.3
-# with weight decay 1e-4 (measurement in CHANGES.md).
-SURVIVOR_UPDATE_BELOW = 0.2
-# Smaller tensors always take the in-place update: its five numpy calls cost
-# less than the gathers and scatters, which break even with it at 64 x 128
-# positions and 5% density.
-SURVIVOR_UPDATE_MIN_SIZE = 8192
-
-
-class StepPlan:
-    """What every ``sgd_step`` of one ``train`` call updates, worked out once.
-
-    A masked weight tensor of at least ``SURVIVOR_UPDATE_MIN_SIZE`` positions
-    and below ``SURVIVOR_UPDATE_BELOW`` density is updated at its survivors
-    only: ``gather`` holds their buffer positions, gathered into the rows of
-    ``compact``, updated there and scattered back.  Every other tensor is
-    updated in place at all its positions, with its mask applied to the
-    gradient if it has pruned ones.  Consecutive such tensors form one
-    stretch of the flat buffers: ``stretches`` holds each stretch's slice,
-    its (part, mask) pairs and its decayed ``*.weight`` parts, the parts
-    relative to the slice.  ``lr`` holds the learning rate of every epoch.
-    """
-
-    def __init__(self, params: ParamSet, mask: "Mask | None", cfg: TrainConfig) -> None:
-        self.lr = [effective_lr(cfg, epoch) for epoch in range(cfg.epochs)]
-        runs: list[list] = []  # [start, stop, masks, decayed] of each in-place stretch
-        survivors = []
-        for name, start, stop in params.offsets():
-            prunable = params.is_prunable(name)
-            m = mask[name].reshape(-1) if mask is not None and name in mask else None
-            alive = None if m is None else np.flatnonzero(m)
-            if alive is None or alive.size == m.size:
-                m = None
-            elif (prunable and m.size >= SURVIVOR_UPDATE_MIN_SIZE
-                  and alive.size < SURVIVOR_UPDATE_BELOW * m.size):
-                survivors.append(alive + start)
-                continue
-            if not runs or runs[-1][1] != start:
-                runs.append([start, start, [], []])
-            run = runs[-1]
-            part = slice(start - run[0], stop - run[0])
-            run[1] = stop
-            if m is not None:
-                run[2].append((part, m))
-            if prunable:
-                run[3].append(part)
-        self.stretches = [(slice(a, b), masks, decayed) for a, b, masks, decayed in runs]
-        self.gather = np.concatenate(survivors) if survivors else np.empty(0, np.intp)
-        self.compact = np.empty((4, self.gather.size))
 
 
 def _update(w: np.ndarray, g: np.ndarray, v: np.ndarray, masks: list, decayed: list,
@@ -567,44 +576,28 @@ def sgd_step(
     mask: "Mask | None",
     cfg: TrainConfig,
     epoch: int,
-    plan: StepPlan | None = None,
+    step: Step | None = None,
 ) -> None:
     """One SGD-with-momentum update, in place.
 
     The L2 term enters as an additive gradient ``grad + weight_decay * w``
-    on prunable tensors only.  Without a plan, every masked-out position is
+    on prunable tensors only.  Without a step, every masked-out position is
     re-zeroed in both the parameter and its velocity after the update.
 
-    With a ``StepPlan`` built for ``params`` and ``mask`` (as ``train``
-    does), ``grads`` must be ``state.grads``, which the update overwrites,
-    and the off-mask weights and velocities must already be exactly 0.  The
-    network is then updated in one in-place pass per stretch of consecutive
-    all-position tensors, which multiplies the gradient by the mask of each
-    tensor in it that has one, and one gather, update and scatter of the
-    survivors of the other tensors, which are all decayed and need no mask.
-    Their pruned positions stay untouched, so off-mask entries stay 0 with no
-    re-zeroing.  Every position gets bitwise the result of the per-tensor
-    update ``g *= mask; g += weight_decay * w; v = momentum * v + g; w -= lr
-    * v``, and surviving positions the result without a plan.
+    With a ``Step`` aimed at ``mask`` and ``cfg`` for ``params`` (as
+    ``train``'s is), ``grads`` must be ``state.grads``, which the update
+    overwrites, and the off-mask weights and velocities must already be
+    exactly 0.  The in-place passes multiply each masked gradient by its mask
+    and the survivor update skips pruned positions, so off-mask entries stay
+    0 with no re-zeroing.
+    Every position gets bitwise the result of the per-tensor update ``g *=
+    mask; g += weight_decay * w; v = momentum * v + g; w -= lr * v``, and
+    surviving positions the result without a step.
     """
-    if plan is not None:
+    if step is not None:
         if grads is not state.grads:
-            raise ValueError("with a plan, grads must be state.grads")
-        lr, decay = plan.lr[epoch], cfg.weight_decay
-        w, g, v = params.buffer, state.grad_buffer, state.velocity_buffer
-        scratch = state.decay_buffer() if decay != 0.0 else None
-        for part, masks, decayed in plan.stretches:
-            _update(w[part], g[part], v[part], masks, decayed, decay,
-                    None if scratch is None else scratch[part], cfg.momentum, lr)
-        if plan.gather.size:
-            idx = plan.gather
-            gs, ws, vs, buf = plan.compact
-            g.take(idx, out=gs, mode="clip")
-            w.take(idx, out=ws, mode="clip")
-            v.take(idx, out=vs, mode="clip")
-            _update(ws, gs, vs, [], [slice(None)], decay, buf, cfg.momentum, lr)
-            w[idx] = ws
-            v[idx] = vs
+            raise ValueError("with a step, grads must be state.grads")
+        step.update(state, epoch)
         state.step_count += 1
         return
     lr = effective_lr(cfg, epoch)
@@ -629,29 +622,33 @@ def evaluate(
     mask: "Mask | None",
     dataset: "LabeledDataset",
     chunk_size: int = 1024,
+    *,
+    state: OptimizerState | None = None,
 ) -> tuple[float, float]:
     """Mean cross-entropy and argmax accuracy over a dataset, deterministically.
 
     Argmax ties resolve to the lowest class index.  No shuffling; samples are
     visited in storage order in fixed-size chunks.  The masked weights and
     the buffers of the forward pass are built once per call and shared by
-    every chunk.
+    every chunk; given the run's ``state``, they are those of its ``Step``,
+    kept for the run.
     """
     n = dataset.features.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    step = Step(params, mask) if state is None else state.step_for(params, mask)
+    layers = step.layers()
+    step.lay_out(min(chunk_size, n), keep_pre=False)
+    offsets = np.arange(min(chunk_size, n)) * step.widths[-1]  # flat index of each row's first logit
     total_loss = 0.0
     correct = 0
-    layers = effective_weights(params, mask)
-    passes = _Passes(layers, min(chunk_size, n), keep_pre=False)
     for start in range(0, n, chunk_size):
         feats = dataset.features[start : start + chunk_size]
         labels = dataset.labels[start : start + chunk_size]
-        logits, _, _ = passes.forward(layers, feats)
+        logits, _, _ = step.forward(layers, feats)
         rows = logits.shape[0]
-        _check_labels(labels, *logits.shape)
-        loss, _ = _cross_entropy_loss(logits, passes.offsets[:rows] + labels,
-                                      passes.dlogits[:rows])
+        step.check_labels(labels, rows)
+        loss, _ = _cross_entropy_loss(logits, offsets[:rows] + labels, step.dlogits[:rows])
         total_loss += loss * rows
         correct += int(np.count_nonzero(logits.argmax(axis=1) == labels))
     loss = total_loss / n
@@ -685,42 +682,44 @@ def train(
     changed.
 
     The off-mask weights and velocities are zeroed first and stay exactly 0,
-    so each step runs the forward and backward passes unmasked, in place in
-    buffers made once per call, writes the gradients into ``state.grads`` and
-    hands a ``StepPlan`` to ``sgd_step``.  Surviving params and velocities
-    come out bitwise equal to a loop of masked ``loss_and_grad`` + ``sgd_step``.
+    so each step runs the forward and backward passes unmasked in the run's
+    ``Step`` (``state.step_for``), writes the gradients into ``state.grads``
+    and hands the step to ``sgd_step``.  Surviving params and velocities come
+    out bitwise equal to a loop of masked ``loss_and_grad`` + ``sgd_step``.
     """
     features = train_set.features
     labels = train_set.labels
     n = features.shape[0]
-    pairs = _layer_names(params)
-    layers = [(params[w], params[b]) for w, b in pairs]
-    _check_labels(labels, n, layers[-1][0].shape[0])
-    if state.grad_buffer.shape != params.buffer.shape:
-        raise ValueError("the optimizer state was not built for these parameters")
-    grads = [(state.grads[w], state.grads[b]) for w, b in pairs]
+    step = state.step_for(params, mask, cfg)
+    step.check_labels(labels, n)
     if mask is not None:  # the invariant the unmasked passes and the plan rely on
         for name in mask.names():
             params[name] *= mask[name]
             state.velocity[name] *= mask[name]
-    plan = StepPlan(params, mask, cfg)
-    passes = state.training_passes(layers, min(cfg.batch_size, n), features.shape[1])
+    layers = [(params[w], params[b]) for w, b in step.pairs]  # w * mask would equal w
+    step.lay_out(min(cfg.batch_size, n))
+    batch = step._kept("batch", (min(cfg.batch_size, n), features.shape[1]))
+    # flat index of each sample's first logit within its batch, in shuffled order
+    offsets = np.arange(n) % cfg.batch_size * step.widths[-1]
     predicted = np.empty(n, dtype=np.intp)
     history: list[EpochMetrics] = []
     for epoch in range(cfg.epochs):
         rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "shuffle", epoch)))
         order = rng.permutation(n)
+        picks = labels.take(order)
+        picks += offsets  # flat index of each sample's label logit
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+            stop = start + cfg.batch_size
+            idx = order[start:stop]
             b = idx.shape[0]
-            features.take(idx, axis=0, out=passes.batch[:b], mode="clip")
-            labels.take(idx, out=passes.labels[:b], mode="clip")
-            loss, logits = passes.step(layers, b, grads)
-            sgd_step(params, state.grads, state, mask, cfg, epoch, plan)
+            features.take(idx, axis=0, out=batch[:b], mode="clip")
+            loss, logits = step.backprop(layers, batch[:b], picks[start:stop])
+            sgd_step(params, state.grads, state, mask, cfg, epoch, step)
             loss_sum += loss * b
-            logits.argmax(axis=1, out=predicted[start : start + b])
-        correct = int(np.count_nonzero(predicted == labels.take(order)))
+            logits.argmax(axis=1, out=predicted[start:stop])
+        predicted += offsets
+        correct = int(np.count_nonzero(predicted == picks))
         if not (np.isfinite(params.buffer.min()) and np.isfinite(params.buffer.max())):
             bad = next(name for name in params.names() if not np.all(np.isfinite(params[name])))
             raise FloatingPointError(f"non-finite values in {bad!r} after epoch {epoch}")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import ParamSet, effective_weights, forward, forward_trace
+from .nn import ParamSet, Step, forward, forward_trace
 from .pruning import Mask
 from .rundir import ProbeResult, completed_rounds, read_config
 from .rundir import load_probes, save_probes  # noqa: F401 - for the CLI and bench/tracer.py
@@ -62,7 +62,7 @@ def amplification_check(params: ParamSet, batch: np.ndarray) -> list[float]:
 
 def _amplification(params: ParamSet, pre: list[np.ndarray]) -> list[float]:
     """``amplification_check`` from the unmasked pre-activations of a batch."""
-    layers = effective_weights(params, None)
+    layers = Step(params, None).layers()
     num_layers = len(layers)
     samples = pre[0].shape[0]
     if samples == 0:

@@ -16,7 +16,7 @@ import numpy as np
 from .nn import (
     MlpArchitecture,
     ParamSet,
-    effective_weights,
+    Step,
     forward_trace,
     init_params,
     loss_and_grad,
@@ -91,7 +91,7 @@ def amplification_reference(params: ParamSet, pre: list[np.ndarray]) -> list[flo
     gate on the rows of the right operand; the induced L1 norms are summed
     in sample order and averaged.
     """
-    layers = effective_weights(params, None)
+    layers = Step(params, None).layers()
     num_layers = len(layers)
     samples = pre[0].shape[0]
     if samples == 0:

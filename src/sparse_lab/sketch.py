@@ -168,8 +168,8 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
             mask = new_mask
             rewind(params, init, mask, state)
         history = train(params, mask, state, train_noisy, cfg.train)
-        train_loss, train_acc = evaluate(params, mask, train_noisy)
-        test_loss, test_acc = evaluate(params, mask, test_set)
+        train_loss, train_acc = evaluate(params, mask, train_noisy, state=state)
+        test_loss, test_acc = evaluate(params, mask, test_set, state=state)
         metrics = RoundMetrics(
             round=k,
             sparsity=sparsity(mask),

@@ -265,8 +265,8 @@ class TestEvaluate:
 
     def test_masks_once_per_call(self, monkeypatch):
         calls = []
-        real = nn.effective_weights
-        monkeypatch.setattr(nn, "effective_weights", lambda *a: calls.append(1) or real(*a))
+        real = nn.Step.layers
+        monkeypatch.setattr(nn.Step, "layers", lambda *a: calls.append(1) or real(*a))
         ds = synth_blobs(n_per_class=35, num_classes=2, dim=3, separation=1.0, seed=4)
         params = init_params(MlpArchitecture([3, 4, 2]), seed=2)
         mask = Mask({n: np.ones_like(params[n]) for n in params.prunable_names()})

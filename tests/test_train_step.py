@@ -149,14 +149,14 @@ def test_unmasked_train_equals_unmasked_loop():
     assert_same(params, state, o_params, o_state)
 
 
-def in_place_layout(plan, params, mask):
+def in_place_layout(step, params, mask):
     """Each in-place stretch as (tensors it covers, masked ones, decayed ones),
     names in buffer order.  Checks that a stretch and each of its parts span
     whole tensors and that each attached mask is its tensor's."""
     bounds = {n: (a, b) for n, a, b in params.offsets()}
     tensor_at = {span: n for n, span in bounds.items()}
     layout = []
-    for whole, masks, decayed in plan.stretches:
+    for whole, masks, decayed in step.stretches:
         def names(parts):
             return [tensor_at[(p.start + whole.start, p.stop + whole.start)] for p in parts]
 
@@ -178,9 +178,9 @@ def test_plan_splits_tensors_at_the_crossover():
         "fc2.weight": np.ones_like(params["fc2.weight"]),  # full: in place, no mask
         "fc3.weight": sparse["fc3.weight"],  # small: in place with its mask
     })
-    plan = nn.StepPlan(params, mask, TrainConfig(epochs=1))
-    assert np.array_equal(plan.gather, np.flatnonzero(mask["fc1.weight"]))
-    assert in_place_layout(plan, params, mask) == [
+    step = nn.Step(params, mask, TrainConfig(epochs=1))
+    assert np.array_equal(step.gather, np.flatnonzero(mask["fc1.weight"]))
+    assert in_place_layout(step, params, mask) == [
         (["fc1.bias", "fc2.weight", "fc2.bias", "fc3.weight", "fc3.bias"],
          ["fc3.weight"], ["fc2.weight", "fc3.weight"]),
     ]
@@ -189,10 +189,10 @@ def test_plan_splits_tensors_at_the_crossover():
 def test_plan_splits_stretches_at_survivor_updated_tensors():
     params = init_params(ARCH, 0)
     mask = mixed_mask(params)
-    plan = nn.StepPlan(params, mask, TrainConfig(epochs=1))
+    step = nn.Step(params, mask, TrainConfig(epochs=1))
     offsets = {name: (start, stop) for name, start, stop in params.offsets()}
-    assert np.array_equal(plan.gather, np.flatnonzero(mask["fc2.weight"]) + offsets["fc2.weight"][0])
-    assert in_place_layout(plan, params, mask) == [
+    assert np.array_equal(step.gather, np.flatnonzero(mask["fc2.weight"]) + offsets["fc2.weight"][0])
+    assert in_place_layout(step, params, mask) == [
         (["fc1.weight", "fc1.bias"], ["fc1.weight"], ["fc1.weight"]),
         (["fc2.bias", "fc3.weight", "fc3.bias"], ["fc3.weight"], ["fc3.weight"]),
     ]
@@ -200,8 +200,8 @@ def test_plan_splits_stretches_at_survivor_updated_tensors():
 
 def test_layer_names_worked_out_once_per_call(monkeypatch):
     calls = []
-    real = nn._layer_names
-    monkeypatch.setattr(nn, "_layer_names", lambda params: calls.append(1) or real(params))
+    real = nn.Step.__init__
+    monkeypatch.setattr(nn.Step, "__init__", lambda self, *a, **k: calls.append(1) or real(self, *a, **k))
     ds = synth_blobs(n_per_class=25, num_classes=4, dim=24, separation=2.0, seed=3)
     cfg = TrainConfig(epochs=2, batch_size=16, seed=8)
     params = init_params(ARCH, 0)
@@ -289,6 +289,22 @@ def test_run_bytes_match_golden_digest(tmp_path):
     assert digest.hexdigest() == GOLDEN_RUN_BYTES_SHA256
 
 
+def test_rounds_of_a_run_reuse_the_step_buffers(tmp_path, monkeypatch):
+    steps, kept = [], []
+    real = nn.sgd_step
+    monkeypatch.setattr(nn, "sgd_step", lambda *a: steps.append(a[-1]) or real(*a))
+    small, _ = golden_byte_configs()
+    run = run_sketch(small, tmp_path / "r", on_round=lambda m: kept.append(dict(steps[-1].buffers)))
+    assert len(run.rounds) == len(kept) > 2
+    assert all(step is steps[0] for step in steps)
+    # forward (batch, activations), backward (gates, logit gradient) and evaluation
+    # (masked weights, the evaluation chunk's activations in the grown pre buffers)
+    assert {"batch", "pre0", "post0", "gate0", "dlogits", "fc1.weight", "fc3.weight"} <= set(kept[0])
+    for before, after in zip(kept, kept[1:]):
+        assert before.keys() == after.keys()
+        assert all(before[name] is after[name] for name in before)
+
+
 def six_class_data():
     """Blobs whose labels reach 5: out of range for a 4-output network."""
     ds = synth_blobs(n_per_class=10, num_classes=6, dim=24, separation=2.0, seed=3)
@@ -301,8 +317,8 @@ def test_train_checks_labels_once_before_any_update(monkeypatch):
     mask = random_mask(params, 0.5, np.random.default_rng(5))
     before = params.buffer.tobytes(), state.velocity_buffer.tobytes()
     checks = []
-    real = nn._check_labels
-    monkeypatch.setattr(nn, "_check_labels", lambda *a: checks.append(1) or real(*a))
+    real = nn.Step.check_labels
+    monkeypatch.setattr(nn.Step, "check_labels", lambda *a: checks.append(1) or real(*a))
     with pytest.raises(ValueError, match=r"label \d out of range \[0, 4\)"):
         train(params, mask, state, six_class_data(), TrainConfig(epochs=2, batch_size=8))
     assert (params.buffer.tobytes(), state.velocity_buffer.tobytes()) == before
