@@ -22,7 +22,6 @@ records carry no encoding byte or count and are all dense, still load.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from pathlib import Path
@@ -83,12 +82,9 @@ def _set_entries(path: Path, name: str, packed: bytes, numel: int, count: int) -
     return bits[:numel].view(bool)
 
 
-def _read_tensors(path: str | Path, target) -> list[tuple[str, tuple[int, ...]]]:
-    """Parse a checkpoint; return its records' (name, shape) in file order.
-
-    ``target(name, shape)`` gives the flat float64 array a record's values
-    are decoded into, or None to seek past the payload unread.
-    """
+def _read_tensors(path: str | Path, decode: bool) -> dict[str, np.ndarray]:
+    """Parse a checkpoint; return its tensors in file order, or, without
+    ``decode``, an empty dict, every payload skipped unread."""
     path = Path(path)
     try:
         f = open(path, "rb")
@@ -111,10 +107,14 @@ def _read_tensors(path: str | Path, target) -> list[tuple[str, tuple[int, ...]]]
         if version not in (1, VERSION):
             raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
 
-        layout: list[tuple[str, tuple[int, ...]]] = []
+        tensors: dict[str, np.ndarray] = {}
+        names: set[str] = set()
         for _ in range(count):
             (name_len,) = struct.unpack("<H", take(2, "name length"))
             name = take(name_len, "name").decode("utf-8")
+            if name in names:
+                raise CheckpointError(f"duplicate tensor name {name!r} in {path}")
+            names.add(name)
             (ndim,) = struct.unpack("<B", take(1, "rank"))
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
             numel = int(np.prod(shape, dtype=np.int64)) if ndim else 1
@@ -128,9 +128,7 @@ def _read_tensors(path: str | Path, target) -> list[tuple[str, tuple[int, ...]]]
                 raise CheckpointError(
                     f"{name!r} in {path} stores {stored} values for {numel} entries"
                 )
-            layout.append((name, shape))
-            out = target(name, shape)
-            skip = out is None
+            skip = not decode
             if encoding == DENSE:
                 values = take(8 * numel, f"payload of {name!r}", skip)
             else:
@@ -139,6 +137,7 @@ def _read_tensors(path: str | Path, target) -> list[tuple[str, tuple[int, ...]]]
                     values = take(8 * stored, f"values of {name!r}", skip)
             if skip:
                 continue
+            out = np.empty(numel)
             if encoding == DENSE:
                 out[...] = np.frombuffer(values, dtype="<f8")
             else:
@@ -148,25 +147,19 @@ def _read_tensors(path: str | Path, target) -> list[tuple[str, tuple[int, ...]]]
                 else:
                     out[...] = 0.0
                     out[np.flatnonzero(nonzero)] = np.frombuffer(values, dtype="<f8")
+            tensors[name] = out.reshape(shape)
         if f.tell() != size:
             raise CheckpointError(f"trailing bytes in checkpoint {path}")
-    return layout
+    return tensors
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {}
-
-    def target(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        tensors[name] = np.empty(shape)
-        return tensors[name].reshape(-1)
-
-    _read_tensors(path, target)
-    return tensors
+    return _read_tensors(path, decode=True)
 
 
 def verify_tensors(path: str | Path) -> None:
     """Raise CheckpointError unless the file parses as a checkpoint; payloads are not read."""
-    _read_tensors(path, lambda name, shape: None)
+    _read_tensors(path, decode=False)
 
 
 def save_params(path: str | Path, params: ParamSet) -> None:
@@ -174,21 +167,10 @@ def save_params(path: str | Path, params: ParamSet) -> None:
 
 
 def load_params(path: str | Path) -> ParamSet:
-    """Rebuild a ParamSet from its names, shapes and values.
+    """Rebuild a ParamSet from its names, shapes and values, in one read.
 
-    A first pass reads the layout, so the values are decoded straight into
-    the ParamSet's one buffer.  Every nonzero, NaN and infinite value comes
-    back bit for bit.  A zero stored in a sparse record, such as a pruned
-    weight, comes back as +0.0 whatever its sign was when saved.
+    Every nonzero, NaN and infinite value comes back bit for bit.  A zero
+    stored in a sparse record, such as a pruned weight, comes back as +0.0
+    whatever its sign was when saved.
     """
-    layout = _read_tensors(path, lambda name, shape: None)
-    params = ParamSet.on_buffer(np.empty(sum(math.prod(s) for _, s in layout)), layout)
-
-    def target(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        if (name, shape) not in layout:
-            raise CheckpointError(f"{path} changed while it was read")
-        return params[name].reshape(-1)
-
-    if _read_tensors(path, target) != layout:
-        raise CheckpointError(f"{path} changed while it was read")
-    return params
+    return ParamSet(load_tensors(path))

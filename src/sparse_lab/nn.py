@@ -8,8 +8,9 @@ apply it, so pruned weights contribute exactly zero and receive exactly zero
 gradient whatever the stored values are.
 
 A network lives in one buffer: every ``ParamSet`` entry is a view of one
-flat float64 array, and ``OptimizerState`` holds the velocities and a
-gradient scratch in two more arrays of the same layout, made once per run.
+flat float64 array, laid out when the set is built, and ``OptimizerState``
+holds the velocities and a gradient scratch in two more arrays of the same
+layout, made once per run.
 Every pass runs through a ``Step``: the layer pairs, the masked weights, the
 pass buffers, the gradient views and the update plan in one object.  The
 run's step lives on its ``OptimizerState``, so its rounds and evaluations
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -48,57 +49,46 @@ if TYPE_CHECKING:
 class ParamSet:
     """Ordered, named collection of parameter tensors, all views of one buffer.
 
-    Entries keep insertion order, and so does the buffer: each entry's
-    positions follow the previous entry's, row-major.  The buffer is built at
-    the first access after an ``add``; an array taken from the set before an
-    ``add`` no longer aliases it once the buffer is rebuilt.  Assigning to an
-    entry copies into its view, so views stay valid; ``on_buffer`` lays a set
-    out on a given buffer without copying it.  Prunability is the
+    The layout is fixed at construction.  ``ParamSet(entries)`` copies
+    (name, tensor) pairs, given as a mapping or an iterable, into one new
+    float64 buffer; ``on_buffer`` lays a set out on a given buffer without
+    copying it.  Entries keep the order given, and so does the buffer: each
+    entry's positions follow the previous entry's, row-major.  Assigning to
+    an entry copies into its view, so views stay valid.  Prunability is the
     name: a ``*.weight`` entry is a prunable weight matrix, anything else (a
-    bias vector) is not.  Shapes are fixed at construction.
+    bias vector) is not.
     """
 
-    def __init__(self) -> None:
-        self._tensors: dict[str, np.ndarray] = {}
-        self._buffer: np.ndarray | None = None  # None until every entry is a view of it
-
-    def add(self, name: str, tensor: np.ndarray) -> None:
-        if name in self._tensors:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        self._tensors[name] = np.ascontiguousarray(tensor, dtype=np.float64)
-        self._buffer = None
+    def __init__(
+        self, entries: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]] = ()
+    ) -> None:
+        pairs = entries.items() if isinstance(entries, Mapping) else entries
+        arrays = [(name, np.asarray(tensor, dtype=np.float64)) for name, tensor in pairs]
+        self._lay_out(np.empty(sum(a.size for _, a in arrays)), [(n, a.shape) for n, a in arrays])
+        for name, arr in arrays:
+            self._tensors[name][...] = arr
 
     @classmethod
     def on_buffer(cls, buffer: np.ndarray, shapes: list[tuple[str, tuple[int, ...]]]) -> "ParamSet":
         """A ParamSet laid out as ``shapes`` whose entries are views of the flat
         float64 ``buffer``, which it takes over without copying."""
-        out = cls()
+        out = cls.__new__(cls)
+        out._lay_out(buffer, shapes)
+        return out
+
+    def _lay_out(self, buffer: np.ndarray, shapes: list[tuple[str, tuple[int, ...]]]) -> None:
+        self._tensors: dict[str, np.ndarray] = {}
         start = 0
         for name, shape in shapes:
-            if name in out._tensors:
+            if name in self._tensors:
                 raise ValueError(f"duplicate parameter name {name!r}")
             stop = start + math.prod(shape)
-            out._tensors[name] = buffer[start:stop].reshape(shape)
+            self._tensors[name] = buffer[start:stop].reshape(shape)
             start = stop
         if buffer.shape != (start,) or buffer.dtype != np.float64 or not buffer.flags.c_contiguous:
             raise ValueError(f"need a contiguous float64 buffer of {start} entries, "
                              f"got {buffer.dtype} of shape {buffer.shape}")
-        out._buffer = buffer
-        return out
-
-    @property
-    def buffer(self) -> np.ndarray:
-        """The flat float64 buffer that every entry is a view of."""
-        if self._buffer is None:
-            self._pack()
-        return self._buffer
-
-    def _pack(self) -> None:
-        """Copy the entries into one new buffer and make them its views."""
-        packed = ParamSet.on_buffer(np.empty(self.total_count()), self.shapes())
-        for name, tensor in self._tensors.items():
-            packed[name][...] = tensor
-        self._tensors, self._buffer = packed._tensors, packed._buffer
+        self.buffer = buffer  # the flat float64 buffer that every entry is a view of
 
     def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
         """Each entry's view of a flat ``buffer`` laid out like ``self.buffer``."""
@@ -113,8 +103,6 @@ class ParamSet:
         return out
 
     def __getitem__(self, name: str) -> np.ndarray:
-        if self._buffer is None:
-            self._pack()
         return self._tensors[name]
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
@@ -272,13 +260,11 @@ def init_params(arch: MlpArchitecture, seed: int) -> ParamSet:
     fixed seed.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    params = ParamSet()
+    params = ParamSet.on_buffer(np.zeros(arch.param_count()), arch.param_shapes())
     for name, shape in arch.param_shapes():
         if ParamSet.is_prunable(name):
             bound = np.sqrt(1.0 / shape[1])
-            params.add(name, rng.uniform(-bound, bound, size=shape))
-        else:
-            params.add(name, np.zeros(shape))
+            params[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
 

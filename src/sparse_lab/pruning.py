@@ -140,9 +140,7 @@ def rewind(params: ParamSet, init: ParamSet, mask: Mask, state: OptimizerState) 
     """
     if params.shapes() != init.shapes():
         raise ValueError(f"layout mismatch: params are {params.shapes()}, init is {init.shapes()}")
-    for name in params.names():
-        if name in mask:
-            params[name][...] = init[name] * mask[name]
-        else:
-            params[name][...] = init[name]
+    params.buffer[...] = init.buffer
+    for name in mask.names():
+        params[name] *= mask[name]
     state.reset()

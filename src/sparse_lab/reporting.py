@@ -9,6 +9,7 @@ the manifest) so that identical configurations yield identical CSVs.
 
 from __future__ import annotations
 
+import os
 import platform
 import sys
 from dataclasses import asdict, replace
@@ -52,9 +53,15 @@ def _host_info() -> str:
 
 
 def write_manifest(run_dir: str | Path, run_id: str, config_hash: str) -> None:
-    """Create the manifest at run start; an existing one is left in place."""
+    """Create the manifest at run start; an existing one is left in place.
+
+    ``blas`` is the BLAS numpy was built against, as numpy's build
+    configuration names it, and ``threads`` the thread variables as the
+    package import left them.
+    """
     if load_manifest(run_dir) is not None:
         return
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas")
     save_manifest(run_dir, RunManifest(
         run_id=run_id,
         config_hash=config_hash,
@@ -62,6 +69,11 @@ def write_manifest(run_dir: str | Path, run_id: str, config_hash: str) -> None:
         started_at=_now(),
         finished_at=None,
         host=_host_info(),
+        numpy=np.__version__,
+        blas=f"{blas.get('name')} {blas.get('version')}" if blas else None,
+        threads={name: os.environ.get(name) for name in (
+            "SPARSE_LAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")},
     ))
 
 
@@ -196,17 +208,10 @@ def emit_curves(
         write_atomic(path, "\n".join(lines) + "\n")
         written.append(path)
 
-    pairs = []
-    for run in runs:
-        if run.config.train.weight_decay != 0.0:
-            continue
-        key = (run.config.epsilon, run.config.train.seed)
-        for other in runs:
-            if other.config.train.weight_decay == 0.0:
-                continue
-            if (other.config.epsilon, other.config.train.seed) == key:
-                pairs.append((run.config.run_id, other.config.run_id))
-    pairs.sort()
+    vanilla = [run.config for run in runs if run.config.train.weight_decay == 0.0]
+    l2 = [run.config for run in runs if run.config.train.weight_decay != 0.0]
+    pairs = sorted((a.run_id, b.run_id) for a in vanilla for b in l2
+                   if (a.epsilon, a.train.seed) == (b.epsilon, b.train.seed))
     pairs_path = out_dir / "pairs.txt"
     write_atomic(pairs_path, "".join(f"{a},{b}\n" for a, b in pairs))
     written.append(pairs_path)
@@ -270,24 +275,13 @@ def detect_phases(run: SketchRun, delta: float = DEFAULT_PHASE_DELTA) -> PhaseRe
         recovered = any(acc[u] >= acc[t] + delta for u in range(t + 1, n))
         if not recovered:
             collapse = t
-    detected = dip_j is not None
-    if not detected:
-        return PhaseReport(
-            detected=False,
-            delta=delta,
-            collapse_round=collapse,
-            collapse_sparsity=rounds[collapse].sparsity if collapse is not None else None,
-        )
-    j = dip_j
-    i = int(np.argmax(acc[:j]))
-    k = j + 1 + int(np.argmax(acc[j + 1 :]))
+    k = None if dip_j is None else dip_j + 1 + int(np.argmax(acc[dip_j + 1 :]))
+
+    def at(r: int | None) -> float | None:
+        return None if r is None else rounds[r].sparsity
+
     return PhaseReport(
-        detected=True,
-        delta=delta,
-        dip_round=j,
-        recovery_round=k,
-        collapse_round=collapse,
-        dip_sparsity=rounds[j].sparsity,
-        recovery_sparsity=rounds[k].sparsity,
-        collapse_sparsity=rounds[collapse].sparsity if collapse is not None else None,
+        detected=dip_j is not None, delta=delta,
+        dip_round=dip_j, recovery_round=k, collapse_round=collapse,
+        dip_sparsity=at(dip_j), recovery_sparsity=at(k), collapse_sparsity=at(collapse),
     )

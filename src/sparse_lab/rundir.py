@@ -26,7 +26,7 @@ import math
 import os
 import re
 import shutil
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .data import train_count
@@ -194,7 +194,11 @@ class ProbeResult:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance card written next to every run's checkpoints."""
+    """Provenance card written next to every run's checkpoints.
+
+    ``threads`` maps ``SPARSE_LAB_THREADS`` and the BLAS thread variables to
+    their values (None: unset).  Older manifests lack the last three fields.
+    """
 
     run_id: str
     config_hash: str
@@ -202,6 +206,9 @@ class RunManifest:
     started_at: str
     finished_at: str | None
     host: str
+    numpy: str | None = None
+    blas: str | None = None
+    threads: dict[str, str | None] | None = None
 
 
 def write_atomic(path: str | Path, data: str | bytes) -> None:
@@ -220,6 +227,28 @@ def write_json(path: str | Path, payload, sort_keys: bool = True) -> None:
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n")
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"unreadable {path.stem} in {path} ({exc})") from exc
+
+
+def _record(payload, path: Path, spec, where="", optional=(), strict=True) -> dict:
+    """``payload`` if it is a JSON object holding every field of ``spec`` (a
+    dataclass or a list of names) but ``optional`` and, when ``strict``, no
+    other key; else CheckpointError naming ``path`` and, after ``where``, the field."""
+    names = [f.name for f in fields(spec)] if is_dataclass(spec) else spec
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path}: {where.rstrip('.') or 'the record'} is not a JSON object")
+    missing = [n for n in names if n not in payload and n not in optional]
+    unexpected = [k for k in payload if strict and k not in names]
+    for what, keys in (("missing", missing), ("unexpected", unexpected)):
+        if keys:
+            raise CheckpointError(f"{path}: {what} field '{where}{keys[0]}'")
+    return payload
+
+
 def is_run_dir(path: str | Path) -> bool:
     return (Path(path) / CONFIG).exists()
 
@@ -236,13 +265,14 @@ def read_config(run_dir: str | Path) -> SketchConfig:
     path = Path(run_dir) / CONFIG
     if not path.exists():
         raise FileNotFoundError(f"no {CONFIG} in {run_dir}")
-    payload = json.loads(path.read_text())
-    d = payload["config"]
-    t = d["train"]
+    payload = _record(_read_json(path), path, ["config", "config_hash"])
+    d = _record(payload["config"], path, SketchConfig, "config.")
+    t = _record(d["train"], path, TrainConfig, "config.train.")
+    data = _record(d["dataset"], path, DatasetSpec, "config.dataset.")
     cfg = SketchConfig(**(d | {
         "arch": MlpArchitecture(d["arch"]),
         "train": TrainConfig(**(t | {"lr_milestones": tuple(t["lr_milestones"])})),
-        "dataset": DatasetSpec(**d["dataset"]),
+        "dataset": DatasetSpec(**data),
         "scope": PruneScope(d["scope"]),
     }))
     if cfg.config_hash() != payload["config_hash"]:
@@ -269,10 +299,10 @@ def completed_rounds(run_dir: str | Path, expected_hash: str) -> list[RoundMetri
     """Metrics of the completed rounds in order; reads only, deletes nothing."""
     done: list[RoundMetrics] = []
     while (path := round_dir(run_dir, len(done)) / ROUND_METRICS).exists():
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"round {len(done)}: unreadable metrics ({exc})") from exc
+        try:  # the record's extra keys are the config hash and the epoch history
+            payload = _record(_read_json(path), path, RoundMetrics, strict=False)
+        except CheckpointError as exc:
+            raise CheckpointError(f"round {len(done)}: {exc}") from exc
         if payload.get("config_hash") != expected_hash:
             raise ValueError(f"round {len(done)}: checkpoint belongs to a different config")
         done.append(RoundMetrics(**{f.name: payload[f.name] for f in fields(RoundMetrics)}))
@@ -294,7 +324,8 @@ def load_manifest(run_dir: str | Path) -> RunManifest | None:
     path = Path(run_dir) / MANIFEST
     if not path.exists():
         return None
-    return RunManifest(**json.loads(path.read_text()))
+    payload = _record(_read_json(path), path, RunManifest, optional=("numpy", "blas", "threads"))
+    return RunManifest(**payload)
 
 
 def save_probes(run_dir: str | Path, probes: list[ProbeResult]) -> None:
@@ -305,7 +336,12 @@ def load_probes(run_dir: str | Path) -> list[ProbeResult] | None:
     path = Path(run_dir) / PROBES
     if not path.exists():
         return None
-    return [
-        ProbeResult(**(d | {"per_layer_amplification": tuple(d["per_layer_amplification"])}))
-        for d in json.loads(path.read_text())
-    ]
+    payload = _read_json(path)
+    if not isinstance(payload, list):
+        raise CheckpointError(f"{path}: the record is not a JSON list")
+    probes = []
+    for i, d in enumerate(payload):
+        d = _record(d, path, ProbeResult, f"[{i}].")
+        amplification = tuple(d["per_layer_amplification"])
+        probes.append(ProbeResult(**(d | {"per_layer_amplification": amplification})))
+    return probes

@@ -165,15 +165,14 @@ def run_prune_oracle(num_cases: int = 200) -> tuple[bool, str]:
     for case in range(num_cases):
         n_layers = int(rng.integers(1, 4))
         shapes = [(int(rng.integers(1, 5)), int(rng.integers(1, 6))) for _ in range(n_layers)]
-        params = ParamSet()
-        weights, masks = [], []
+        entries, weights, masks = [], [], []
         for i, shape in enumerate(shapes):
             # discrete magnitudes force ties to exercise the tie-break
             w = rng.choice([-0.5, -0.25, 0.0, 0.1, 0.25, 0.5], size=shape)
-            params.add(f"fc{i + 1}.weight", w)
-            params.add(f"fc{i + 1}.bias", np.zeros(shape[0]))
-            weights.append(params[f"fc{i + 1}.weight"])
+            entries += [(f"fc{i + 1}.weight", w), (f"fc{i + 1}.bias", np.zeros(shape[0]))]
+            weights.append(w)
             masks.append((rng.random(shape) < 0.8).astype(np.float64))
+        params = ParamSet(entries)
         if sum(m.sum() for m in masks) == 0:
             continue
         mask = Mask({f"fc{i + 1}.weight": masks[i] for i in range(n_layers)})

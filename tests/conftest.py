@@ -18,10 +18,7 @@ import pytest
 def make_params(weight_rows, bias=None):
     """Single-layer ParamSet from an explicit weight matrix."""
     w = np.asarray(weight_rows, dtype=np.float64)
-    params = ParamSet()
-    params.add("fc1.weight", w)
-    params.add("fc1.bias", np.zeros(w.shape[0]) if bias is None else np.asarray(bias, float))
-    return params
+    return ParamSet({"fc1.weight": w, "fc1.bias": np.zeros(w.shape[0]) if bias is None else bias})
 
 
 @pytest.fixture

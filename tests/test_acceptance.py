@@ -83,8 +83,7 @@ def test_criterion_2_prune_oracle_equivalence():
         while per_scope < 1000:
             n_layers = int(rng.integers(1, 4))
             budget = 20
-            params = ParamSet()
-            weights, masks = [], []
+            entries, weights, masks = [], [], []
             for i in range(n_layers):
                 cols = int(rng.integers(1, max(2, budget // (n_layers - i) + 1)))
                 cols = min(cols, budget)
@@ -94,10 +93,10 @@ def test_criterion_2_prune_oracle_equivalence():
                     w = rng.choice([-0.6, -0.3, 0.0, 0.15, 0.3, 0.6], size=(1, cols))
                 else:
                     w = rng.standard_normal((1, cols))
-                params.add(f"fc{i+1}.weight", w)
-                params.add(f"fc{i+1}.bias", np.zeros(1))
-                weights.append(params[f"fc{i+1}.weight"])
+                entries += [(f"fc{i+1}.weight", w), (f"fc{i+1}.bias", np.zeros(1))]
+                weights.append(w)
                 masks.append((rng.random((1, cols)) < 0.8).astype(np.float64))
+            params = ParamSet(entries)
             if sum(int(m.sum()) for m in masks) == 0:
                 continue
             mask = Mask({f"fc{i+1}.weight": masks[i] for i in range(n_layers)})

@@ -108,6 +108,14 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="cannot read"):
             load_tensors(tmp_path / "absent.bin")
 
+    def test_duplicate_name(self, tmp_path):
+        path = tmp_path / "t.bin"
+        save_tensors(path, {"fc1.weight": np.ones((1, 2)), "fc1.wei9ht": np.ones((1, 2))})
+        path.write_bytes(path.read_bytes().replace(b"fc1.wei9ht", b"fc1.weight"))
+        for read in (load_tensors, load_params, verify_tensors):
+            with pytest.raises(CheckpointError, match="duplicate tensor name 'fc1.weight'"):
+                read(path)
+
 
 def write_v1(path, tensors):
     """Write ``tensors`` in the version-1 layout: every record dense, no encoding byte."""
@@ -223,6 +231,24 @@ class TestEncodings:
         read.clear()
         assert list(load_tensors(path)) == list(tensors)
         assert sum(read) == path.stat().st_size
+
+    def test_load_params_reads_each_file_once(self, tmp_path, monkeypatch):
+        params = init_params(MlpArchitecture([6, 5, 3]), 2)
+        params["fc1.weight"][:, 1:] = 0.0  # a sparse record beside dense and binary ones
+        path = tmp_path / "params.bin"
+        save_params(path, params)
+        read = []
+
+        class CountingFile(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                read.append(len(data))
+                return data
+
+        monkeypatch.setattr(checkpoint_mod, "open", CountingFile, raising=False)
+        loaded = load_params(path)
+        assert sum(read) == path.stat().st_size
+        assert loaded.buffer.tobytes() == params.buffer.tobytes()
 
     def test_version_one_file_loads_bit_for_bit(self, tmp_path):
         tensors = {"w": dense_with_negative_zero(), "z": negative_zeros(), "s": np.array(2.0)}

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -36,6 +37,21 @@ def sketch_args(out, dataset="blobs", command="sketch", **overrides):
     for key, value in base.items():
         args.extend([f"--{key}", value])
     return args
+
+
+def damaged(payload, key, damage):
+    """``payload`` with the value at the path ``key`` dropped, set to 0 ("add") or
+    put in a list ("list"); an empty ``key`` puts the whole payload in a list."""
+    if not key:
+        return [payload]
+    head, *rest = key
+    if rest:
+        damaged(payload[head], rest, damage)
+    elif damage == "drop":
+        del payload[head]
+    else:
+        payload[head] = 0 if damage == "add" else [payload[head]]
+    return payload
 
 
 GRID = ["--lambdas", "0", "--epsilons", "0", "--seeds", "1"]  # one sweep cell
@@ -401,6 +417,31 @@ class TestProbeAndReport:
         assert cli_main(["probe", "--run", str(run_dir)]) == 2
         assert cli_main(["report", "--run", str(run_dir)]) == 2
         assert capsys.readouterr().err.count(f"runtime failure: {message}") == 2
+
+    @pytest.mark.parametrize("name,command,key,damage,message", [
+        ("config.json", "report", ("config", "train", "lr"), "drop",
+         "missing field 'config.train.lr'"),
+        ("config.json", "report", ("config", "dataset", "size"), "add",
+         "unexpected field 'config.dataset.size'"),
+        ("manifest.json", "sketch", ("note",), "add", "unexpected field 'note'"),
+        ("manifest.json", "sketch", ("host",), "drop", "missing field 'host'"),
+        ("round_003/metrics.json", "report", ("test_acc",), "drop", "round 3: .* missing field 'test_acc'"),
+        ("round_003/metrics.json", "report", (), "list", "round 3: .* the record is not a JSON object"),
+        ("probes.json", "report", (1, "y_exc_l1"), "drop", "missing field '\\[1\\].y_exc_l1'"),
+        ("probes.json", "report", (0,), "list", "\\[0\\] is not a JSON object"),
+    ])
+    def test_malformed_record_names_file_and_field(self, run_dir, capsys, name, command, key, damage,
+                                                   message):
+        if name == "probes.json":
+            assert cli_main(["probe", "--run", str(run_dir)]) == 0
+        path = run_dir / name
+        payload = damaged(json.loads(path.read_text()), key, damage)
+        path.write_text(json.dumps(payload))
+        argv = sketch_args(run_dir) if command == "sketch" else ["report", "--run", str(run_dir)]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.search(f"runtime failure: .*{message}", err) and str(path) in err, err
 
     def test_probe_then_report_keeps_probe_column(self, run_dir):
         assert cli_main(["probe", "--run", str(run_dir)]) == 0

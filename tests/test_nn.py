@@ -1,5 +1,6 @@
-"""Network engine: init, forward, gradients, SGD, evaluation, training."""
+"""Network engine: parameter sets, init, forward, gradients, SGD, evaluation, training."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -26,6 +27,40 @@ from sparse_lab import (
 from sparse_lab.selftest import equals_bitwise, kink_free, max_relative_gradient_error
 
 from conftest import make_params
+
+
+class TestParamSet:
+    def test_copies_its_inputs(self):
+        w, b = np.ones((2, 3)), np.zeros(2)
+        params = ParamSet({"fc1.weight": w, "fc1.bias": b})
+        w[0, 0], b[1] = 5.0, 7.0
+        assert params.buffer.tolist() == [1.0] * 6 + [0.0, 0.0]
+
+    def test_rejects_duplicate_names(self):
+        with pytest.raises(ValueError, match="duplicate parameter name 'fc1.weight'"):
+            ParamSet([("fc1.weight", np.ones((1, 2))), ("fc1.weight", np.ones((1, 2)))])
+
+    def test_entries_are_views_of_the_buffer_in_the_order_given(self):
+        entries = [("fc2.weight", np.arange(6.0).reshape(3, 2)), ("fc1.bias", np.array([6.0])),
+                   ("fc1.weight", np.array([[7.0, 8.0]]))]
+        params = ParamSet(iter(entries))
+        assert params.names() == ["fc2.weight", "fc1.bias", "fc1.weight"]
+        assert params.buffer.tolist() == [float(i) for i in range(9)]
+        for name, arr in entries:
+            assert params[name].base is params.buffer
+            np.testing.assert_array_equal(params[name], arr)
+        params.buffer[6] = -1.0
+        assert params["fc1.bias"][0] == -1.0
+
+    def test_empty_set_is_valid(self):
+        params = ParamSet()
+        assert params.names() == [] and params.buffer.shape == (0,) and params.total_count() == 0
+
+    def test_lenet_init_draws_are_pinned(self):
+        # guards the RNG draw order of init_params beyond the golden run digests
+        buffer = init_params(MlpArchitecture([784, 300, 100, 10]), 0).buffer
+        assert hashlib.sha256(buffer.tobytes()).hexdigest() == (
+            "aa01e2c46fe827cad86b45ce3cbf80048125dac307f5489325f1d88f3bc4cc40")
 
 
 class TestInitParams:

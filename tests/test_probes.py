@@ -32,13 +32,9 @@ from conftest import make_params
 
 
 def two_layer(w1, w2):
-    params = ParamSet()
     w1, w2 = np.asarray(w1, float), np.asarray(w2, float)
-    params.add("fc1.weight", w1)
-    params.add("fc1.bias", np.zeros(w1.shape[0]))
-    params.add("fc2.weight", w2)
-    params.add("fc2.bias", np.zeros(w2.shape[0]))
-    return params
+    return ParamSet({"fc1.weight": w1, "fc1.bias": np.zeros(w1.shape[0]),
+                     "fc2.weight": w2, "fc2.bias": np.zeros(w2.shape[0])})
 
 
 class TestExcessOutput:
@@ -131,13 +127,11 @@ class TestAmplificationCheck:
         assert amplification_check(params2, batch)[0] == 2 * ratios[0]
 
     def test_dead_relu_downstream_gives_zero(self):
-        params = ParamSet()
-        params.add("fc1.weight", np.eye(2))
-        params.add("fc1.bias", np.zeros(2))
-        params.add("fc2.weight", -np.eye(2))  # kills every unit
-        params.add("fc2.bias", np.zeros(2))
-        params.add("fc3.weight", np.ones((2, 2)))
-        params.add("fc3.bias", np.zeros(2))
+        params = ParamSet({
+            "fc1.weight": np.eye(2), "fc1.bias": np.zeros(2),
+            "fc2.weight": -np.eye(2), "fc2.bias": np.zeros(2),  # kills every unit
+            "fc3.weight": np.ones((2, 2)), "fc3.bias": np.zeros(2),
+        })
         batch = np.array([[3.0, 4.0]])  # positive first-layer activations
         ratios = amplification_check(params, batch)
         assert ratios[0] == 0.0  # path through the dead layer

@@ -56,11 +56,10 @@ class TestPrune:
         assert Mask.full(params).surviving() == params["fc1.weight"].size + params["fc2.weight"].size
 
     def test_global_scope_ranks_across_layers(self):
-        params = ParamSet()
-        params.add("fc1.weight", np.array([[10.0, 20.0]]))
-        params.add("fc1.bias", np.zeros(1))
-        params.add("fc2.weight", np.array([[0.1, 0.2]]))
-        params.add("fc2.bias", np.zeros(1))
+        params = ParamSet({
+            "fc1.weight": np.array([[10.0, 20.0]]), "fc1.bias": np.zeros(1),
+            "fc2.weight": np.array([[0.1, 0.2]]), "fc2.bias": np.zeros(1),
+        })
         mask = Mask.full(params)
         out = prune(params, mask, t_iter=0.5, scope=PruneScope.GLOBAL)
         # the two smallest magnitudes both live in fc2
@@ -68,21 +67,19 @@ class TestPrune:
         np.testing.assert_array_equal(out["fc2.weight"], [[0.0, 0.0]])
 
     def test_layerwise_scope_prunes_each_layer(self):
-        params = ParamSet()
-        params.add("fc1.weight", np.array([[10.0, 20.0]]))
-        params.add("fc1.bias", np.zeros(1))
-        params.add("fc2.weight", np.array([[0.1, 0.2]]))
-        params.add("fc2.bias", np.zeros(1))
+        params = ParamSet({
+            "fc1.weight": np.array([[10.0, 20.0]]), "fc1.bias": np.zeros(1),
+            "fc2.weight": np.array([[0.1, 0.2]]), "fc2.bias": np.zeros(1),
+        })
         out = prune(params, Mask.full(params), t_iter=0.5, scope=PruneScope.LAYERWISE)
         np.testing.assert_array_equal(out["fc1.weight"], [[0.0, 1.0]])
         np.testing.assert_array_equal(out["fc2.weight"], [[0.0, 1.0]])
 
     def test_global_tie_break_prefers_earlier_layer(self):
-        params = ParamSet()
-        params.add("fc1.weight", np.array([[0.5, 0.5]]))
-        params.add("fc1.bias", np.zeros(1))
-        params.add("fc2.weight", np.array([[0.5, 0.5]]))
-        params.add("fc2.bias", np.zeros(1))
+        params = ParamSet({
+            "fc1.weight": np.array([[0.5, 0.5]]), "fc1.bias": np.zeros(1),
+            "fc2.weight": np.array([[0.5, 0.5]]), "fc2.bias": np.zeros(1),
+        })
         out = prune(params, Mask.full(params), t_iter=0.5, scope=PruneScope.GLOBAL)
         np.testing.assert_array_equal(out["fc1.weight"], [[0.0, 0.0]])
         np.testing.assert_array_equal(out["fc2.weight"], [[1.0, 1.0]])
@@ -226,15 +223,14 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(99)
         for _ in range(100):
             n_layers = int(rng.integers(1, 3))
-            params = ParamSet()
-            weights, masks = [], []
+            entries, weights, masks = [], [], []
             for i in range(n_layers):
                 shape = (1, int(rng.integers(1, 11)))
                 w = rng.choice([-0.4, -0.2, 0.0, 0.2, 0.4, 0.8], size=shape)
-                params.add(f"fc{i+1}.weight", w)
-                params.add(f"fc{i+1}.bias", np.zeros(1))
-                weights.append(params[f"fc{i+1}.weight"])
+                entries += [(f"fc{i+1}.weight", w), (f"fc{i+1}.bias", np.zeros(1))]
+                weights.append(w)
                 masks.append((rng.random(shape) < 0.85).astype(np.float64))
+            params = ParamSet(entries)
             if sum(m.sum() for m in masks) == 0:
                 continue
             mask = Mask({f"fc{i+1}.weight": masks[i] for i in range(n_layers)})
@@ -251,14 +247,13 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(7)
         for case in range(12):
             shapes = [(12, 20), (8, 12), (3, 8)][: 1 + case % 3]
-            params = ParamSet()
-            weights, masks = [], []
+            entries, weights, masks = [], [], []
             for i, shape in enumerate(shapes):
                 w = rng.choice([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0], size=shape)
-                params.add(f"fc{i+1}.weight", w)
-                params.add(f"fc{i+1}.bias", np.zeros(shape[0]))
+                entries += [(f"fc{i+1}.weight", w), (f"fc{i+1}.bias", np.zeros(shape[0]))]
                 weights.append(w)
                 masks.append((rng.random(shape) < 0.7).astype(np.float64))
+            params = ParamSet(entries)
             mask = Mask({f"fc{i+1}.weight": m for i, m in enumerate(masks)})
             t_iter = float(rng.uniform(0.05, 0.95))
             result = prune(params, mask, t_iter, scope)

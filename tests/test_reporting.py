@@ -1,6 +1,7 @@
 """Metrics CSV, curve files, pairing, and manifests."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -178,3 +179,21 @@ class TestManifest:
         assert manifest["finished_at"] is not None
         assert manifest["started_at"] <= manifest["finished_at"]
         assert manifest["tool_version"]
+
+    def test_records_numpy_blas_and_thread_variables(self, tmp_path):
+        cfg = SketchConfig(
+            run_id="m",
+            arch=MlpArchitecture([4, 10, 2]),
+            train=TrainConfig(epochs=0, seed=1),
+            dataset=DatasetSpec(kind="blobs", dim=4, num_classes=2, n_per_class=20),
+            t_end=0.8,
+        )
+        run_sketch(cfg, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert manifest["numpy"] == np.__version__
+        assert manifest["blas"] == f"{blas['name']} {blas['version']}"
+        names = ["SPARSE_LAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"]
+        assert manifest["threads"] == {name: os.environ.get(name) for name in names}
+        assert manifest["threads"]["OPENBLAS_NUM_THREADS"] is not None  # set at package import

@@ -353,6 +353,23 @@ class TestResume:
                (tmp_path / "b" / "metrics.csv").read_bytes()
         assert json.loads(manifest.read_text())["finished_at"] is not None
 
+    def test_manifest_without_provenance_fields_resumes(self, tmp_path):
+        # a manifest written before numpy, blas and threads were recorded,
+        # left unfinished by a kill after the last round
+        run_sketch(tiny_config(), tmp_path / "r")
+        csv = (tmp_path / "r" / "metrics.csv").read_bytes()
+        manifest = tmp_path / "r" / "manifest.json"
+        old = json.loads(manifest.read_text())
+        assert {"numpy", "blas", "threads"} <= old.keys()
+        for key in ("numpy", "blas", "threads"):
+            del old[key]
+        manifest.write_text(json.dumps(old | {"finished_at": None}))
+        resume(tmp_path / "r")
+        resumed = json.loads(manifest.read_text())
+        assert resumed["finished_at"] is not None
+        assert resumed["numpy"] is resumed["blas"] is resumed["threads"] is None
+        assert (tmp_path / "r" / "metrics.csv").read_bytes() == csv
+
     def test_config_without_manifest_resumes(self, tmp_path):
         # a kill between writing config.json and manifest.json leaves this
         cfg = tiny_config()
