@@ -10,9 +10,10 @@ cap had to set a BLAS variable that numpy had already missed.
 import os as _os
 import sys as _sys
 
+from .util import BLAS_THREAD_VARS as _BLAS_THREAD_VARS
+
 _threads = _os.environ.get("SPARSE_LAB_THREADS", "1")
-_unset = [v for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                      "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS") if v not in _os.environ]
+_unset = [v for v in _BLAS_THREAD_VARS if v not in _os.environ]
 for _var in _unset:
     _os.environ[_var] = _threads
 if _unset and "numpy" in _sys.modules:

@@ -18,13 +18,19 @@ nonzero entry is 1.0 (masks, all-zero biases), else ``SPARSE`` when
 nonzero, NaN and infinite entry bit for bit; in ``SPARSE`` and ``BINARY``
 records a zero of either sign reads back as +0.0.  Version-1 files, whose
 records carry no encoding byte or count and are all dense, still load.
+
+A read parses every header first, seeking past the payloads (all that
+``verify_tensors`` reads), then ``load_params`` lays out one ParamSet and
+decodes each payload once, into its entry's view of the buffer.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -54,10 +60,12 @@ def _encode(arr: np.ndarray) -> tuple[int, int, list[bytes | np.ndarray]]:
     return SPARSE, count, [bitmap, np.compress(nonzero, flat)]  # faster than flat[nonzero]
 
 
-def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    parts = [MAGIC, struct.pack("<BI", VERSION, len(tensors))]
-    for name, arr in tensors.items():
-        arr = np.require(arr, dtype="<f8", requirements="C")  # keeps rank 0
+def save_tensors(path: str | Path, tensors: Mapping[str, np.ndarray] | ParamSet) -> None:
+    """Write named tensors, a mapping or a ParamSet such as a Mask, in their order."""
+    names = list(tensors)
+    parts = [MAGIC, struct.pack("<BI", VERSION, len(names))]
+    for name in names:
+        arr = np.require(tensors[name], dtype="<f8", requirements="C")  # keeps rank 0
         encoded = name.encode("utf-8")
         encoding, count, payload = _encode(arr)
         parts.append(struct.pack("<H", len(encoded)))
@@ -69,22 +77,9 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
     write_atomic(path, b"".join(parts))
 
 
-def _set_entries(path: Path, name: str, packed: bytes, numel: int, count: int) -> np.ndarray:
-    """The flat bool array a record's bitmap sets, checked against its count."""
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-    if bits[numel:].any():
-        raise CheckpointError(f"nonzero padding bits in bitmap of {name!r} in {path}")
-    popcount = int(np.count_nonzero(bits))
-    if popcount != count:
-        raise CheckpointError(
-            f"bitmap of {name!r} in {path} sets {popcount} entries, its record says {count}"
-        )
-    return bits[:numel].view(bool)
-
-
-def _read_tensors(path: str | Path, decode: bool) -> dict[str, np.ndarray]:
-    """Parse a checkpoint; return its tensors in file order, or, without
-    ``decode``, an empty dict, every payload skipped unread."""
+def _read(path: str | Path, decode: bool) -> ParamSet | None:
+    """Parse a checkpoint's headers, seeking past every payload, and with
+    ``decode`` lay out its ParamSet and decode each payload into its view."""
     path = Path(path)
     try:
         f = open(path, "rb")
@@ -107,17 +102,15 @@ def _read_tensors(path: str | Path, decode: bool) -> dict[str, np.ndarray]:
         if version not in (1, VERSION):
             raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
 
-        tensors: dict[str, np.ndarray] = {}
-        names: set[str] = set()
+        records = {}  # name: (shape, encoding, count, payload offset), in file order
         for _ in range(count):
             (name_len,) = struct.unpack("<H", take(2, "name length"))
             name = take(name_len, "name").decode("utf-8")
-            if name in names:
+            if name in records:
                 raise CheckpointError(f"duplicate tensor name {name!r} in {path}")
-            names.add(name)
             (ndim,) = struct.unpack("<B", take(1, "rank"))
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
-            numel = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+            numel = math.prod(shape)
             if version == 1:  # every version-1 record is dense
                 encoding, stored = DENSE, numel
             else:
@@ -128,42 +121,51 @@ def _read_tensors(path: str | Path, decode: bool) -> dict[str, np.ndarray]:
                 raise CheckpointError(
                     f"{name!r} in {path} stores {stored} values for {numel} entries"
                 )
-            skip = not decode
+            records[name] = (shape, encoding, stored, f.tell())
             if encoding == DENSE:
-                values = take(8 * numel, f"payload of {name!r}", skip)
+                take(8 * numel, f"payload of {name!r}", skip=True)
             else:
-                packed = take(-(-numel // 8), f"bitmap of {name!r}", skip)
+                take(-(-numel // 8), f"bitmap of {name!r}", skip=True)
                 if encoding == SPARSE:
-                    values = take(8 * stored, f"values of {name!r}", skip)
-            if skip:
-                continue
-            out = np.empty(numel)
-            if encoding == DENSE:
-                out[...] = np.frombuffer(values, dtype="<f8")
-            else:
-                nonzero = _set_entries(path, name, packed, numel, stored)
-                if encoding == BINARY:
-                    out[...] = nonzero
-                else:
-                    out[...] = 0.0
-                    out[np.flatnonzero(nonzero)] = np.frombuffer(values, dtype="<f8")
-            tensors[name] = out.reshape(shape)
+                    take(8 * stored, f"values of {name!r}", skip=True)
         if f.tell() != size:
             raise CheckpointError(f"trailing bytes in checkpoint {path}")
-    return tensors
+        if not decode:
+            return None
+        shapes = [(name, shape) for name, (shape, *_) in records.items()]
+        params = ParamSet.on_buffer(np.empty(sum(math.prod(s) for _, s in shapes)), shapes)
+        for name, (_, encoding, stored, offset) in records.items():
+            _decode(f, path, name, encoding, stored, offset, params[name].reshape(-1))
+    return params
 
 
-def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    return _read_tensors(path, decode=True)
-
-
-def verify_tensors(path: str | Path) -> None:
-    """Raise CheckpointError unless the file parses as a checkpoint; payloads are not read."""
-    _read_tensors(path, decode=False)
-
-
-def save_params(path: str | Path, params: ParamSet) -> None:
-    save_tensors(path, {n: params[n] for n in params.names()})
+def _decode(f, path: Path, name: str, encoding: int, stored: int, offset: int, out: np.ndarray) -> None:
+    """Decode record ``name``'s payload, at ``offset`` in the file, into its
+    flat float64 view ``out``: a dense one by ``readinto``, a bitmap checked
+    against the record's count, then unpacked with its values block by block."""
+    f.seek(offset)
+    if encoding == DENSE:
+        if f.readinto(out) != out.nbytes:
+            raise CheckpointError(f"truncated checkpoint {path}: payload of {name!r}")
+        if not np.little_endian:  # the file holds <f8
+            out.byteswap(inplace=True)
+        return
+    packed = np.frombuffer(f.read(-(-out.size // 8)), dtype=np.uint8)
+    if out.size % 8 and packed[-1] >> out.size % 8:
+        raise CheckpointError(f"nonzero padding bits in bitmap of {name!r} in {path}")
+    popcount = int(np.bitwise_count(packed).sum())
+    if popcount != stored:
+        raise CheckpointError(
+            f"bitmap of {name!r} in {path} sets {popcount} entries, its record says {stored}"
+        )
+    block = 1 << 16  # entries per unpack, to bound the temporaries; a whole number of bitmap bytes
+    for start in range(0, out.size, block):
+        part = out[start : start + block]
+        bits = np.unpackbits(packed[start // 8 : (start + block) // 8], count=part.size,
+                             bitorder="little").view(bool)
+        part[...] = bits
+        if encoding == SPARSE:
+            part[bits] = np.frombuffer(f.read(8 * int(np.count_nonzero(bits))), dtype="<f8")
 
 
 def load_params(path: str | Path) -> ParamSet:
@@ -173,4 +175,19 @@ def load_params(path: str | Path) -> ParamSet:
     stored in a sparse record, such as a pruned weight, comes back as +0.0
     whatever its sign was when saved.
     """
-    return ParamSet(load_tensors(path))
+    return _read(path, decode=True)
+
+
+def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
+    """The tensors of ``load_params``, by name in file order."""
+    params = load_params(path)
+    return {name: params[name] for name in params}
+
+
+def verify_tensors(path: str | Path) -> None:
+    """Raise CheckpointError unless the file parses as a checkpoint; payloads are not read."""
+    _read(path, decode=False)
+
+
+def save_params(path: str | Path, params: ParamSet) -> None:
+    save_tensors(path, params)

@@ -216,7 +216,8 @@ def synth_blobs(
     rng = np.random.Generator(np.random.PCG64(seed))
     n = n_per_class * num_classes
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
-    features = rng.standard_normal((n, dim)) + centers[labels]
+    features = rng.standard_normal((n, dim))
+    features.reshape(num_classes, n_per_class, dim)[...] += centers[:, None, :]  # rows grouped by class
     return LabeledDataset(features=features, labels=labels, num_classes=num_classes, name=name)
 
 

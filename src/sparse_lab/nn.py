@@ -7,10 +7,11 @@ The public forward, gradient and evaluation functions take a binary mask and
 apply it, so pruned weights contribute exactly zero and receive exactly zero
 gradient whatever the stored values are.
 
-A network lives in one buffer: every ``ParamSet`` entry is a view of one
-flat float64 array, laid out when the set is built, and ``OptimizerState``
-holds the velocities and a gradient scratch in two more arrays of the same
-layout, made once per run.
+``ParamSet`` is the one container for named tensors: every entry is a view
+of one flat float64 array, laid out when the set is built.  A network's
+parameters, its ``OptimizerState``'s velocities and gradient scratch (two
+more sets of the same layout, made once per run), the gradients of
+``loss_and_grad`` and a ``pruning.Mask`` are all ParamSets.
 Every pass runs through a ``Step``: the layer pairs, the masked weights, the
 pass buffers, the gradient views and the update plan in one object.  The
 run's step lives on its ``OptimizerState``, so its rounds and evaluations
@@ -64,9 +65,8 @@ class ParamSet:
     ) -> None:
         pairs = entries.items() if isinstance(entries, Mapping) else entries
         arrays = [(name, np.asarray(tensor, dtype=np.float64)) for name, tensor in pairs]
-        self._lay_out(np.empty(sum(a.size for _, a in arrays)), [(n, a.shape) for n, a in arrays])
-        for name, arr in arrays:
-            self._tensors[name][...] = arr
+        buffer = np.concatenate([np.empty(0), *(a.reshape(-1) for _, a in arrays)])
+        self._lay_out(buffer, [(n, a.shape) for n, a in arrays])
 
     @classmethod
     def on_buffer(cls, buffer: np.ndarray, shapes: list[tuple[str, tuple[int, ...]]]) -> "ParamSet":
@@ -89,10 +89,6 @@ class ParamSet:
             raise ValueError(f"need a contiguous float64 buffer of {start} entries, "
                              f"got {buffer.dtype} of shape {buffer.shape}")
         self.buffer = buffer  # the flat float64 buffer that every entry is a view of
-
-    def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
-        """Each entry's view of a flat ``buffer`` laid out like ``self.buffer``."""
-        return ParamSet.on_buffer(buffer, self.shapes())._tensors
 
     def offsets(self) -> list[tuple[str, int, int]]:
         """(name, start, stop) of every entry's positions in the buffer, in order."""
@@ -135,10 +131,10 @@ class ParamSet:
         return [(n, t.shape) for n, t in self._tensors.items()]
 
     def total_count(self) -> int:
-        return sum(t.size for t in self._tensors.values())
+        return self.buffer.size
 
     def copy(self) -> "ParamSet":
-        return ParamSet.on_buffer(self.buffer.copy(), self.shapes())
+        return type(self).on_buffer(self.buffer.copy(), self.shapes())
 
 
 @dataclass(frozen=True)
@@ -223,34 +219,31 @@ class TrainConfig:
 class OptimizerState:
     """Momentum, a gradient scratch, a step counter and the run's ``Step``.
 
-    ``velocity`` and ``grads`` map each parameter name to its view of a flat
-    buffer laid out like ``params.buffer``, and both buffers are allocated
-    here, once per run.  ``train`` writes each step's gradients into
-    ``grads``, and ``sgd_step`` updates from there, so a step allocates no
-    parameter-sized array.  The run's ``Step`` is kept here too
+    ``velocity`` and ``grads`` are ParamSets laid out like ``params``, each on
+    its own buffer, allocated here, once per run.  ``train`` writes each
+    step's gradients into ``grads``, and ``sgd_step`` updates from there, so a
+    step allocates no parameter-sized array.  The run's ``Step`` is kept here too
     (``step_for``), so that the rounds of a run and their evaluations reuse
     its buffers instead of allocating and freeing them per call.
     """
 
     def __init__(self, params: ParamSet) -> None:
-        self.velocity_buffer = np.zeros(params.total_count())
-        self.grad_buffer = np.zeros(params.total_count())
-        self.velocity: dict[str, np.ndarray] = params.views(self.velocity_buffer)
-        self.grads: dict[str, np.ndarray] = params.views(self.grad_buffer)
+        self.velocity = ParamSet.on_buffer(np.zeros(params.total_count()), params.shapes())
+        self.grads = ParamSet.on_buffer(np.zeros(params.total_count()), params.shapes())
         self.step_count: int = 0
         self._step: Step | None = None
 
     def step_for(self, params: ParamSet, mask: "Mask | None", cfg: TrainConfig | None = None) -> "Step":
         """The run's ``Step``, aimed at ``mask`` and ``cfg``: made at the first
         call, then kept with its buffers while ``params`` is the same set."""
-        if self.grad_buffer.shape != params.buffer.shape:
+        if self.grads.buffer.shape != params.buffer.shape:
             raise ValueError("the optimizer state was not built for these parameters")
         if self._step is None or self._step.params is not params:
             self._step = Step(params, None, None, self.grads)
         return self._step.aim(mask, cfg)
 
     def reset(self) -> None:
-        self.velocity_buffer[...] = 0.0
+        self.velocity.buffer[...] = 0.0
         self.step_count = 0
 
 
@@ -329,7 +322,7 @@ class Step:
     """
 
     def __init__(self, params: ParamSet, mask: "Mask | None", cfg: TrainConfig | None = None,
-                 grads: dict[str, np.ndarray] | None = None) -> None:
+                 grads: ParamSet | None = None) -> None:
         self.params = params
         self.pairs = [(w, w.rpartition(".")[0] + ".bias") for w in params.prunable_names()]
         for w, b in self.pairs:
@@ -458,7 +451,7 @@ class Step:
     def update(self, state: OptimizerState, epoch: int) -> None:
         """The planned ``sgd_step`` of ``state`` at ``epoch`` (see there)."""
         cfg, lr, scratch = self.cfg, self.lr[epoch], self.scratch
-        w, g, v = self.params.buffer, state.grad_buffer, state.velocity_buffer
+        w, g, v = self.params.buffer, state.grads.buffer, state.velocity.buffer
         for part, masks, decayed in self.stretches:
             _update(w[part], g[part], v[part], masks, decayed, cfg.weight_decay,
                     None if scratch is None else scratch[part], cfg.momentum, lr)
@@ -513,13 +506,14 @@ def loss_and_grad(
     mask: "Mask | None",
     batch: np.ndarray,
     labels: np.ndarray,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, ParamSet]:
     """Mean softmax cross-entropy (excluding any L2 penalty) and exact
-    reverse-mode gradients.  Gradients at masked-out positions are exactly 0.
+    reverse-mode gradients, a ParamSet laid out like ``params``.  Gradients
+    at masked-out positions are exactly 0.
     """
     batch = np.ascontiguousarray(_as_batch(batch))
     labels = np.asarray(labels, dtype=np.int64)
-    grads = params.views(np.empty(params.total_count()))
+    grads = ParamSet.on_buffer(np.empty(params.total_count()), params.shapes())
     step = Step(params, mask, grads=grads)
     n = batch.shape[0]
     step.check_labels(labels, n)
@@ -557,7 +551,7 @@ def _update(w: np.ndarray, g: np.ndarray, v: np.ndarray, masks: list, decayed: l
 
 def sgd_step(
     params: ParamSet,
-    grads: dict[str, np.ndarray],
+    grads: ParamSet,
     state: OptimizerState,
     mask: "Mask | None",
     cfg: TrainConfig,

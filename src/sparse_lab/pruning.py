@@ -1,11 +1,12 @@
 """Magnitude pruning with explicit binary masks and rewinding to initialization.
 
-A Mask covers exactly the prunable tensors of a ParamSet, its ``*.weight``
-entries; biases are never pruned and never counted in sparsity.  Masks only
-ever move from 1 to 0: each pruning round removes the smallest-magnitude
-fraction of the weights still surviving, either per layer or across all
-layers at once.  The rewind target is the initialization itself, a ParamSet
-with the same names and shapes as the one being trained.
+A Mask is a ParamSet of 0.0/1.0 tensors over exactly the prunable tensors
+of another, its ``*.weight`` entries in their order; biases are never pruned
+and never counted in sparsity.  Masks only ever move from 1 to 0: each
+pruning round removes the smallest-magnitude fraction of the weights still
+surviving, either per layer or across all layers at once.  The rewind target
+is the initialization itself, a ParamSet with the same names and shapes as
+the one being trained.
 """
 
 from __future__ import annotations
@@ -24,47 +25,31 @@ class PruneScope(Enum):
     GLOBAL = "global"
 
 
-class Mask:
-    """Binary (0.0/1.0) float64 tensors over a ParamSet's prunable entries."""
+class Mask(ParamSet):
+    """Binary (0.0/1.0) tensors over a ParamSet's prunable entries, in their order.
 
-    def __init__(self, entries: dict[str, np.ndarray]) -> None:
-        self._entries: dict[str, np.ndarray] = {}
-        for name, arr in entries.items():
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-            # one elementwise pass, no sort; NaN fails both comparisons, -0.0 passes
-            if not np.all((arr == 0.0) | (arr == 1.0)):
+    A ParamSet like any other, whose every entry is checked to hold only 0.0
+    and 1.0 (-0.0 passes, NaN fails) whenever a Mask is laid out: built,
+    copied or re-laid over a loaded buffer with ``on_buffer``.
+    """
+
+    def _lay_out(self, buffer: np.ndarray, shapes: list[tuple[str, tuple[int, ...]]]) -> None:
+        super()._lay_out(buffer, shapes)
+        for name, arr in self._tensors.items():
+            # every nonzero entry is 1.0; one bool temporary, no larger than the entry
+            if np.count_nonzero(arr) != np.count_nonzero(arr == 1.0):
                 raise ValueError(f"mask {name!r} must contain only 0.0 and 1.0")
-            self._entries[name] = arr
-
-    @classmethod
-    def _unchecked(cls, entries: dict[str, np.ndarray]) -> "Mask":
-        """A Mask of entries already known to be binary C-contiguous float64."""
-        mask = cls.__new__(cls)
-        mask._entries = entries
-        return mask
 
     @classmethod
     def full(cls, params: ParamSet) -> "Mask":
         """All-ones mask over every prunable tensor."""
-        return cls._unchecked({n: np.ones_like(params[n]) for n in params.prunable_names()})
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._entries[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def names(self) -> list[str]:
-        return list(self._entries)
-
-    def copy(self) -> "Mask":
-        return Mask._unchecked({n: a.copy() for n, a in self._entries.items()})
+        return cls({n: np.ones_like(params[n]) for n in params.prunable_names()})
 
     def surviving(self) -> int:
-        return int(sum(a.sum() for a in self._entries.values()))
+        return int(self.buffer.sum())  # exact: a sum of 0s and 1s
 
     def total(self) -> int:
-        return sum(a.size for a in self._entries.values())
+        return self.buffer.size
 
 
 def sparsity(mask: Mask) -> float:
@@ -141,6 +126,6 @@ def rewind(params: ParamSet, init: ParamSet, mask: Mask, state: OptimizerState) 
     if params.shapes() != init.shapes():
         raise ValueError(f"layout mismatch: params are {params.shapes()}, init is {init.shapes()}")
     params.buffer[...] = init.buffer
-    for name in mask.names():
+    for name in mask:
         params[name] *= mask[name]
     state.reset()

@@ -33,7 +33,7 @@ from .rundir import (
     write_atomic,
     write_json,
 )
-from .util import TOOL_VERSION, ConfigError, fmt_num, fmt_sig17
+from .util import BLAS_THREAD_VARS, TOOL_VERSION, ConfigError, fmt_num, fmt_sig17
 
 DEFAULT_PHASE_DELTA = 1.0  # accuracy percentage points
 MIN_PHASE_ROUNDS = 4  # the fewest rounds detect_phases reads
@@ -71,9 +71,7 @@ def write_manifest(run_dir: str | Path, run_id: str, config_hash: str) -> None:
         host=_host_info(),
         numpy=np.__version__,
         blas=f"{blas.get('name')} {blas.get('version')}" if blas else None,
-        threads={name: os.environ.get(name) for name in (
-            "SPARSE_LAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")},
+        threads={name: os.environ.get(name) for name in ("SPARSE_LAB_THREADS", *BLAS_THREAD_VARS)},
     ))
 
 

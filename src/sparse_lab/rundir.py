@@ -26,6 +26,8 @@ import math
 import os
 import re
 import shutil
+import types
+import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -234,16 +236,32 @@ def _read_json(path: Path):
         raise CheckpointError(f"unreadable {path.stem} in {path} ({exc})") from exc
 
 
+def _stored_as(value, hint) -> bool:
+    """Whether JSON ``value`` is of the type a field annotated ``hint`` is stored as."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_stored_as(value, h) for h in args)
+    if origin is tuple or hint is MlpArchitecture:  # a JSON list
+        return isinstance(value, list) and all(_stored_as(v, args[0] if args else int) for v in value)
+    if origin is dict or is_dataclass(hint):  # a JSON object
+        return isinstance(value, dict)
+    stored = {float: (int, float), PruneScope: str}.get(hint, hint)
+    return isinstance(value, stored) and not isinstance(value, bool)  # JSON true is no number
+
+
 def _record(payload, path: Path, spec, where="", optional=(), strict=True) -> dict:
     """``payload`` if it is a JSON object holding every field of ``spec`` (a
     dataclass or a list of names) but ``optional`` and, when ``strict``, no
-    other key; else CheckpointError naming ``path`` and, after ``where``, the field."""
+    other key, each of a dataclass's fields with a value of its type; else
+    CheckpointError naming ``path`` and, after ``where``, the field."""
     names = [f.name for f in fields(spec)] if is_dataclass(spec) else spec
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: {where.rstrip('.') or 'the record'} is not a JSON object")
     missing = [n for n in names if n not in payload and n not in optional]
     unexpected = [k for k in payload if strict and k not in names]
-    for what, keys in (("missing", missing), ("unexpected", unexpected)):
+    hints = typing.get_type_hints(spec) if is_dataclass(spec) else {}
+    mistyped = [n for n, hint in hints.items() if n in payload and not _stored_as(payload[n], hint)]
+    for what, keys in (("missing", missing), ("unexpected", unexpected), ("mistyped", mistyped)):
         if keys:
             raise CheckpointError(f"{path}: {what} field '{where}{keys[0]}'")
     return payload

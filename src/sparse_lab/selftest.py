@@ -24,23 +24,18 @@ from .nn import (
 from .pruning import Mask, PruneScope, prune
 
 
-def fd_gradient(params: ParamSet, batch: np.ndarray, labels: np.ndarray, h: float = 1e-5) -> dict:
+def fd_gradient(params: ParamSet, batch: np.ndarray, labels: np.ndarray, h: float = 1e-5) -> ParamSet:
     """Central finite differences of the data loss w.r.t. every parameter."""
-    grads = {}
-    for name in params.names():
-        w = params[name]
-        g = np.zeros_like(w)
-        flat = w.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp, _ = loss_and_grad(params, None, batch, labels)
-            flat[i] = orig - h
-            lm, _ = loss_and_grad(params, None, batch, labels)
-            flat[i] = orig
-            gflat[i] = (lp - lm) / (2.0 * h)
-        grads[name] = g
+    grads = ParamSet.on_buffer(np.zeros(params.total_count()), params.shapes())
+    flat = params.buffer
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        lp, _ = loss_and_grad(params, None, batch, labels)
+        flat[i] = orig - h
+        lm, _ = loss_and_grad(params, None, batch, labels)
+        flat[i] = orig
+        grads.buffer[i] = (lp - lm) / (2.0 * h)
     return grads
 
 
@@ -49,13 +44,9 @@ def max_relative_gradient_error(
 ) -> float:
     """max over parameters of |analytic - fd| / max(|analytic|, |fd|, 1e-3)."""
     _, analytic = loss_and_grad(params, None, batch, labels)
-    numeric = fd_gradient(params, batch, labels, h)
-    worst = 0.0
-    for name in params.names():
-        a, f = analytic[name], numeric[name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-3)
-        worst = max(worst, float((np.abs(a - f) / denom).max()))
-    return worst
+    a, f = analytic.buffer, fd_gradient(params, batch, labels, h).buffer
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-3)
+    return float((np.abs(a - f) / denom).max(initial=0.0))
 
 
 def kink_free(params: ParamSet, batch: np.ndarray) -> bool:
@@ -111,17 +102,13 @@ def amplification_reference(params: ParamSet, pre: list[np.ndarray]) -> list[flo
 
 
 def equals_bitwise(a: ParamSet, b: ParamSet) -> bool:
-    """Same names in the same order, and equal tensors with NaNs equal."""
-    return a.names() == b.names() and all(
-        np.array_equal(a[n], b[n], equal_nan=True) for n in a.names()
-    )
+    """Same names and shapes in the same order, and equal values with NaNs equal."""
+    return a.shapes() == b.shapes() and np.array_equal(a.buffer, b.buffer, equal_nan=True)
 
 
 def is_subset_of(mask: Mask, other: Mask) -> bool:
     """True when every 1 in ``mask`` is also 1 in ``other`` (monotonicity)."""
-    return mask.names() == other.names() and all(
-        np.all(mask[n] <= other[n]) for n in mask.names()
-    )
+    return mask.shapes() == other.shapes() and bool(np.all(mask.buffer <= other.buffer))
 
 
 def run_gradient_check(num_nets: int = 5, tolerance: float = 1e-6) -> tuple[bool, str]:

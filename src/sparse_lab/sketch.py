@@ -14,14 +14,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import reporting
-from .checkpoint import (
-    CheckpointError,
-    load_params,
-    load_tensors,
-    save_params,
-    save_tensors,
-    verify_tensors,
-)
+from .checkpoint import CheckpointError, load_params, save_params, save_tensors, verify_tensors
+from .checkpoint import load_tensors  # noqa: F401 - for bench/tracer.py
 from .data import LabeledDataset, inject_symmetric_noise, load_idx, split, synth_blobs
 from .nn import OptimizerState, ParamSet, evaluate, init_params, train
 from .pruning import Mask, prune, rewind, sparsity
@@ -59,14 +53,14 @@ def load_dataset(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
 
 
 def load_round_state(run_dir: str | Path, k: int) -> tuple[ParamSet, Mask]:
-    """Trained params and mask of completed round k."""
+    """Trained params and mask of completed round k, each decoded once into its buffer."""
     d = round_dir(run_dir, k)
     try:
         params = load_params(d / PARAMS)
-        mask = Mask(load_tensors(d / MASK))
+        mask = load_params(d / MASK)
     except CheckpointError as exc:
         raise CheckpointError(f"round {k}: {exc}") from exc
-    return params, mask
+    return params, Mask.on_buffer(mask.buffer, mask.shapes())
 
 
 def _save_round(
@@ -81,7 +75,7 @@ def _save_round(
     d = round_dir(run_dir, k)
     d.mkdir(parents=True, exist_ok=True)
     save_params(d / PARAMS, params)
-    save_tensors(d / MASK, {n: mask[n] for n in mask.names()})
+    save_tensors(d / MASK, mask)
     commit_round(run_dir, k, metrics, epoch_history, config_hash)
 
 

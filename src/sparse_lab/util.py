@@ -1,4 +1,5 @@
-"""Shared helpers: the configuration error, seed derivation and exact decimal formatting."""
+"""Shared helpers: the configuration error, seed derivation, exact decimal
+formatting and the BLAS thread variables; no numpy, so it loads before numpy."""
 
 from __future__ import annotations
 
@@ -7,6 +8,9 @@ import struct
 
 TOOL_VERSION = "0.1.0"
 MAX_SEED = 2**64 - 1
+# the variables that cap BLAS threads, set from SPARSE_LAB_THREADS before numpy loads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 class ConfigError(ValueError):

@@ -4,6 +4,7 @@ import io
 import math
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +13,19 @@ import sparse_lab.checkpoint as checkpoint_mod
 import sparse_lab.sketch as sketch_mod
 from sparse_lab import (
     DatasetSpec,
+    Mask,
     MlpArchitecture,
+    OptimizerState,
+    PruneScope,
     SketchConfig,
     TrainConfig,
     cli_main,
     init_params,
+    prune,
     resume,
+    rewind,
     run_sketch,
+    sparsity,
 )
 from sparse_lab.checkpoint import (
     BINARY,
@@ -182,6 +189,22 @@ CODEC_CASES = {
 }
 
 
+def counting_file(read: list):
+    """``io.FileIO`` that appends the size of every read, by ``read`` or ``readinto``, to ``read``."""
+    class CountingFile(io.FileIO):
+        def read(self, size=-1):
+            data = super().read(size)
+            read.append(len(data))
+            return data
+
+        def readinto(self, buffer):
+            count = super().readinto(buffer)
+            read.append(count)
+            return count
+
+    return CountingFile
+
+
 class TestEncodings:
     @pytest.mark.parametrize("case", list(CODEC_CASES))
     def test_round_trip_and_chosen_encoding(self, tmp_path, case):
@@ -218,13 +241,7 @@ class TestEncodings:
         save_tensors(path, tensors)
         read = []
 
-        class CountingFile(io.FileIO):
-            def read(self, size=-1):
-                data = super().read(size)
-                read.append(len(data))
-                return data
-
-        monkeypatch.setattr(checkpoint_mod, "open", CountingFile, raising=False)
+        monkeypatch.setattr(checkpoint_mod, "open", counting_file(read), raising=False)
         verify_tensors(path)
         headers = 9 + sum(record_bytes(name, arr.shape, 0) for name, arr in tensors.items())
         assert sum(read) == headers
@@ -239,13 +256,7 @@ class TestEncodings:
         save_params(path, params)
         read = []
 
-        class CountingFile(io.FileIO):
-            def read(self, size=-1):
-                data = super().read(size)
-                read.append(len(data))
-                return data
-
-        monkeypatch.setattr(checkpoint_mod, "open", CountingFile, raising=False)
+        monkeypatch.setattr(checkpoint_mod, "open", counting_file(read), raising=False)
         loaded = load_params(path)
         assert sum(read) == path.stat().st_size
         assert loaded.buffer.tobytes() == params.buffer.tobytes()
@@ -288,6 +299,49 @@ def corrupt(blob, arr, kind):
 
 def sparse_13():
     return MASK_13 * np.arange(1.0, 14.0) / 7.0
+
+
+def traced_peak(read, path):
+    """tracemalloc's peak, in bytes, over ``read(path)``."""
+    tracemalloc.start()
+    try:
+        read(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoadMemory:
+    """A load decodes each value once, into the buffer it ends in."""
+
+    @pytest.fixture(scope="class")
+    def lenet(self, tmp_path_factory):
+        """A dense 784-300-100-10 file, the first layerwise round past 90%
+        sparsity as params and as a mask, and their decoded sizes."""
+        root = tmp_path_factory.mktemp("lenet")
+        params = init_params(MlpArchitecture([784, 300, 100, 10]), 0)
+        save_params(root / "dense.bin", params)
+        mask = Mask.full(params)
+        while sparsity(mask) <= 0.9:
+            mask = prune(params, mask, 0.2, PruneScope.LAYERWISE)
+        rewind(params, params.copy(), mask, OptimizerState(params))
+        save_params(root / "sparse.bin", params)
+        save_params(root / "mask.bin", mask)
+        return root, 8 * params.total_count(), 8 * mask.total()
+
+    @pytest.mark.parametrize("name", ["dense.bin", "sparse.bin"])
+    def test_load_params_peaks_near_the_decoded_bytes(self, lenet, name):
+        root, decoded, _ = lenet
+        assert traced_peak(load_params, root / name) <= 1.2 * decoded
+
+    def test_mask_load_peaks_near_the_decoded_bytes(self, lenet):
+        root, _, decoded = lenet
+
+        def load_mask(path):
+            loaded = load_params(path)
+            return Mask.on_buffer(loaded.buffer, loaded.shapes())
+
+        assert traced_peak(load_mask, root / "mask.bin") <= 1.13 * decoded
 
 
 class TestCodecCorruption:

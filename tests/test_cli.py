@@ -40,8 +40,9 @@ def sketch_args(out, dataset="blobs", command="sketch", **overrides):
 
 
 def damaged(payload, key, damage):
-    """``payload`` with the value at the path ``key`` dropped, set to 0 ("add") or
-    put in a list ("list"); an empty ``key`` puts the whole payload in a list."""
+    """``payload`` with the value at the path ``key`` dropped, set to 0 ("add"),
+    put in a list ("list") or set to ``damage`` itself (a ``("set", value)`` pair);
+    an empty ``key`` puts the whole payload in a list."""
     if not key:
         return [payload]
     head, *rest = key
@@ -49,6 +50,8 @@ def damaged(payload, key, damage):
         damaged(payload[head], rest, damage)
     elif damage == "drop":
         del payload[head]
+    elif isinstance(damage, tuple):
+        payload[head] = damage[1]
     else:
         payload[head] = 0 if damage == "add" else [payload[head]]
     return payload
@@ -429,6 +432,9 @@ class TestProbeAndReport:
         ("round_003/metrics.json", "report", (), "list", "round 3: .* the record is not a JSON object"),
         ("probes.json", "report", (1, "y_exc_l1"), "drop", "missing field '\\[1\\].y_exc_l1'"),
         ("probes.json", "report", (0,), "list", "\\[0\\] is not a JSON object"),
+        ("config.json", "report", ("config", "arch"), ("set", 5), "mistyped field 'config.arch'"),
+        ("config.json", "report", ("config", "train", "lr"), ("set", "x"),
+         "mistyped field 'config.train.lr'"),
     ])
     def test_malformed_record_names_file_and_field(self, run_dir, capsys, name, command, key, damage,
                                                    message):

@@ -1,5 +1,6 @@
 """Dataset ingestion: IDX parsing, blobs, label noise, splitting."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -120,6 +121,16 @@ class TestSynthBlobs:
         train(params, None, OptimizerState(params), ds, cfg)
         _, acc = evaluate(params, None, ds)
         assert acc == 1.0
+
+    @pytest.mark.parametrize("args, digest", [
+        ((100, 10, 784, 3.0, 0), "3ae348c02190829a3d8b10dc5e1a6bbd69ea057ecfaa6ce5b7a0770f55ebaca7"),
+        ((7, 3, 5, 2.5, 11), "67bd15537c64072fdd568771efcc6e8363f072cd963ab7aa313ada8dba88e0a8"),
+        ((4, 17, 2, 0.0, 3), "3434c595f6c89b5754977b15142e1f156cec9a6d898fdc23f6f3a48d4d350a87"),
+    ])
+    def test_bytes_are_pinned(self, args, digest):
+        # sha256 of the features then the labels, as the class centres were first added
+        ds = synth_blobs(*args)
+        assert hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()).hexdigest() == digest
 
     def test_deterministic(self):
         a = synth_blobs(10, 3, 4, 2.0, seed=7)

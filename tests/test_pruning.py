@@ -123,6 +123,37 @@ class TestMaskValidation:
         assert Mask({"fc1.weight": np.zeros((0, 4))}).total() == 0
 
 
+class TestMaskContainer:
+    def test_mask_is_a_paramset_on_one_buffer_in_prunable_order(self):
+        params = init_params(MlpArchitecture([5, 4, 3, 2]), 1)
+        mask = Mask.full(params)
+        assert isinstance(mask, ParamSet)
+        assert mask.names() == params.prunable_names()
+        start = 0
+        for name in mask:
+            assert np.shares_memory(mask[name], mask.buffer)
+            assert mask[name].__array_interface__["data"][0] == (
+                mask.buffer.__array_interface__["data"][0] + 8 * start)
+            start += mask[name].size
+        assert start == mask.buffer.size == mask.total()
+
+    def test_copy_is_a_mask_on_its_own_buffer(self):
+        mask = Mask.full(init_params(MlpArchitecture([5, 4, 3]), 1))
+        mask["fc1.weight"][0, 0] = 0.0
+        copy = mask.copy()
+        assert type(copy) is Mask
+        assert copy.shapes() == mask.shapes()
+        assert copy.buffer.tobytes() == mask.buffer.tobytes()
+        assert not np.shares_memory(copy.buffer, mask.buffer)
+        assert copy.surviving() == mask.surviving() == mask.total() - 1
+
+    def test_laying_a_mask_on_a_buffer_checks_it(self):
+        shapes = [("fc1.weight", (2, 2))]
+        assert Mask.on_buffer(np.array([1.0, 0.0, -0.0, 1.0]), shapes).surviving() == 2
+        with pytest.raises(ValueError, match="mask 'fc1.weight' must contain only 0.0 and 1.0"):
+            Mask.on_buffer(np.array([1.0, 0.0, 0.5, 1.0]), shapes)
+
+
 class TestSparsity:
     def test_full_mask_zero(self):
         params = init_params(MlpArchitecture([5, 4, 2]), seed=0)
@@ -184,7 +215,7 @@ class TestRewind:
         _, params, init, state = self._setup()
         rewind(params, init, Mask.full(params), state)
         assert state.step_count == 0
-        assert all(np.all(v == 0.0) for v in state.velocity.values())
+        assert np.all(state.velocity.buffer == 0.0)
 
     def test_idempotent(self):
         _, params, init, state = self._setup()

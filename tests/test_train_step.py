@@ -114,7 +114,7 @@ def test_train_with_tensors_gathered_outside_the_dense_stretch(weight_decay):
     params, state = dirty_start(4)
     mask = mixed_mask(params)
     o_params, o_state = params.copy(), OptimizerState(params)
-    o_state.velocity_buffer[...] = state.velocity_buffer
+    o_state.velocity.buffer[...] = state.velocity.buffer
     train(params, mask, state, ds, cfg)
     masked_loop(o_params, mask, o_state, ds, cfg)
     assert_same(params, state, o_params, o_state)
@@ -315,13 +315,13 @@ def six_class_data():
 def test_train_checks_labels_once_before_any_update(monkeypatch):
     params, state = dirty_start(5)
     mask = random_mask(params, 0.5, np.random.default_rng(5))
-    before = params.buffer.tobytes(), state.velocity_buffer.tobytes()
+    before = params.buffer.tobytes(), state.velocity.buffer.tobytes()
     checks = []
     real = nn.Step.check_labels
     monkeypatch.setattr(nn.Step, "check_labels", lambda *a: checks.append(1) or real(*a))
     with pytest.raises(ValueError, match=r"label \d out of range \[0, 4\)"):
         train(params, mask, state, six_class_data(), TrainConfig(epochs=2, batch_size=8))
-    assert (params.buffer.tobytes(), state.velocity_buffer.tobytes()) == before
+    assert (params.buffer.tobytes(), state.velocity.buffer.tobytes()) == before
     assert state.step_count == 0
     ds = synth_blobs(n_per_class=25, num_classes=4, dim=24, separation=2.0, seed=3)
     checks.clear()
