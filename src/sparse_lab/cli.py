@@ -217,6 +217,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     run_dirs: list[Path] = []
     if args.sweep:
         run_dirs.extend(sorted(p for p in Path(args.sweep).iterdir() if is_run_dir(p)))
+        if not run_dirs:
+            raise ConfigError(f"--sweep {args.sweep} holds no run directory")
     for d in args.run or []:
         run_dirs.append(Path(d))
     if not run_dirs:

@@ -176,6 +176,10 @@ def check_curves(runs: list[SketchRun], metrics: list[str]) -> None:
             )
     if len({run.config.dataset for run in runs}) > 1:
         raise ConfigError("curve overlays require all runs to share one dataset")
+    ids = [run.config.run_id for run in runs]
+    shared = sorted({i for i in ids if ids.count(i) > 1})
+    if shared:
+        raise ConfigError(f"runs share the run id {shared[0]!r}, which names their curve files")
 
 
 def emit_curves(

@@ -15,11 +15,15 @@ Every file is written through ``write_atomic``, so a reader or a killed
 writer sees the old contents or the new, never a part.  A round is complete
 once its ``metrics.json`` exists: it is written last.  Readers list the
 completed rounds and stop at the first one without it; only the writer
-(``run_sketch``) reclaims such a half-written round.
+(``run_sketch``) reclaims such a half-written round.  Each stored record is
+read back by one decoder that checks every value against the record's
+annotations as it builds it, so a damaged record is a CheckpointError
+naming the file and the field, while a record's own check raises ConfigError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -28,7 +32,8 @@ import re
 import shutil
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
+from enum import EnumMeta
 from pathlib import Path
 
 from .data import train_count
@@ -236,35 +241,41 @@ def _read_json(path: Path):
         raise CheckpointError(f"unreadable {path.stem} in {path} ({exc})") from exc
 
 
-def _stored_as(value, hint) -> bool:
-    """Whether JSON ``value`` is of the type a field annotated ``hint`` is stored as."""
+def _decode(value, hint, path: Path, where: str = "", optional=(), strict=True):
+    """JSON ``value`` checked against the type ``hint`` and built as one: a
+    dataclass (or a plain object, given as a dict of key types) from an object
+    with each field but ``optional`` and, if ``strict``, no other key; a tuple
+    or MlpArchitecture from a list; a dict from an object; an enum from one of
+    its values; a float from any number.  Else CheckpointError naming the field."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is MlpArchitecture:  # stored as its list of layer sizes
+        return MlpArchitecture(_decode(value, tuple[int, ...], path, where))
+    if is_dataclass(hint) or isinstance(hint, dict):
+        if not isinstance(value, dict):
+            raise CheckpointError(f"{path}: {where or 'the record'} is not a JSON object")
+        hints = hint if isinstance(hint, dict) else typing.get_type_hints(hint)
+        prefix = f"{where}." if where else ""
+        missing = [n for n in hints if n not in value and n not in optional]
+        unexpected = [k for k in value if strict and k not in hints]
+        for what, keys in (("missing", missing), ("unexpected", unexpected)):
+            if keys:
+                raise CheckpointError(f"{path}: {what} field '{prefix}{keys[0]}'")
+        record = {n: _decode(value[n], h, path, prefix + n) for n, h in hints.items() if n in value}
+        return hint(**record) if is_dataclass(hint) else record
     if origin is types.UnionType:
-        return any(_stored_as(value, h) for h in args)
-    if origin is tuple or hint is MlpArchitecture:  # a JSON list
-        return isinstance(value, list) and all(_stored_as(v, args[0] if args else int) for v in value)
-    if origin is dict or is_dataclass(hint):  # a JSON object
-        return isinstance(value, dict)
-    stored = {float: (int, float), PruneScope: str}.get(hint, hint)
-    return isinstance(value, stored) and not isinstance(value, bool)  # JSON true is no number
-
-
-def _record(payload, path: Path, spec, where="", optional=(), strict=True) -> dict:
-    """``payload`` if it is a JSON object holding every field of ``spec`` (a
-    dataclass or a list of names) but ``optional`` and, when ``strict``, no
-    other key, each of a dataclass's fields with a value of its type; else
-    CheckpointError naming ``path`` and, after ``where``, the field."""
-    names = [f.name for f in fields(spec)] if is_dataclass(spec) else spec
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"{path}: {where.rstrip('.') or 'the record'} is not a JSON object")
-    missing = [n for n in names if n not in payload and n not in optional]
-    unexpected = [k for k in payload if strict and k not in names]
-    hints = typing.get_type_hints(spec) if is_dataclass(spec) else {}
-    mistyped = [n for n, hint in hints.items() if n in payload and not _stored_as(payload[n], hint)]
-    for what, keys in (("missing", missing), ("unexpected", unexpected), ("mistyped", mistyped)):
-        if keys:
-            raise CheckpointError(f"{path}: {what} field '{where}{keys[0]}'")
-    return payload
+        for arm in args:
+            with contextlib.suppress(CheckpointError):
+                return _decode(value, arm, path, where)
+    elif origin is tuple and isinstance(value, list):
+        return tuple(_decode(v, args[0], path, where) for v in value)
+    elif origin is dict and isinstance(value, dict):
+        return {k: _decode(v, args[1], path, where) for k, v in value.items()}
+    elif isinstance(hint, EnumMeta) and value in [m.value for m in hint]:
+        return hint(value)
+    elif origin is None and isinstance(value, {float: (int, float)}.get(hint, hint)):
+        if not isinstance(value, bool):  # JSON true/false is no number
+            return value
+    raise CheckpointError(f"{path}: mistyped field '{where}'")
 
 
 def is_run_dir(path: str | Path) -> bool:
@@ -283,19 +294,10 @@ def read_config(run_dir: str | Path) -> SketchConfig:
     path = Path(run_dir) / CONFIG
     if not path.exists():
         raise FileNotFoundError(f"no {CONFIG} in {run_dir}")
-    payload = _record(_read_json(path), path, ["config", "config_hash"])
-    d = _record(payload["config"], path, SketchConfig, "config.")
-    t = _record(d["train"], path, TrainConfig, "config.train.")
-    data = _record(d["dataset"], path, DatasetSpec, "config.dataset.")
-    cfg = SketchConfig(**(d | {
-        "arch": MlpArchitecture(d["arch"]),
-        "train": TrainConfig(**(t | {"lr_milestones": tuple(t["lr_milestones"])})),
-        "dataset": DatasetSpec(**data),
-        "scope": PruneScope(d["scope"]),
-    }))
-    if cfg.config_hash() != payload["config_hash"]:
+    stored = _decode(_read_json(path), {"config": SketchConfig, "config_hash": str}, path)
+    if stored["config"].config_hash() != stored["config_hash"]:
         raise ValueError(f"config hash mismatch in {path}: file was modified")
-    return cfg
+    return stored["config"]
 
 
 def commit_round(
@@ -318,12 +320,13 @@ def completed_rounds(run_dir: str | Path, expected_hash: str) -> list[RoundMetri
     done: list[RoundMetrics] = []
     while (path := round_dir(run_dir, len(done)) / ROUND_METRICS).exists():
         try:  # the record's extra keys are the config hash and the epoch history
-            payload = _record(_read_json(path), path, RoundMetrics, strict=False)
+            payload = _read_json(path)
+            metrics = _decode(payload, RoundMetrics, path, strict=False)
         except CheckpointError as exc:
             raise CheckpointError(f"round {len(done)}: {exc}") from exc
         if payload.get("config_hash") != expected_hash:
             raise ValueError(f"round {len(done)}: checkpoint belongs to a different config")
-        done.append(RoundMetrics(**{f.name: payload[f.name] for f in fields(RoundMetrics)}))
+        done.append(metrics)
     return done
 
 
@@ -342,8 +345,7 @@ def load_manifest(run_dir: str | Path) -> RunManifest | None:
     path = Path(run_dir) / MANIFEST
     if not path.exists():
         return None
-    payload = _record(_read_json(path), path, RunManifest, optional=("numpy", "blas", "threads"))
-    return RunManifest(**payload)
+    return _decode(_read_json(path), RunManifest, path, optional=("numpy", "blas", "threads"))
 
 
 def save_probes(run_dir: str | Path, probes: list[ProbeResult]) -> None:
@@ -357,9 +359,4 @@ def load_probes(run_dir: str | Path) -> list[ProbeResult] | None:
     payload = _read_json(path)
     if not isinstance(payload, list):
         raise CheckpointError(f"{path}: the record is not a JSON list")
-    probes = []
-    for i, d in enumerate(payload):
-        d = _record(d, path, ProbeResult, f"[{i}].")
-        amplification = tuple(d["per_layer_amplification"])
-        probes.append(ProbeResult(**(d | {"per_layer_amplification": amplification})))
-    return probes
+    return [_decode(d, ProbeResult, path, f"[{i}]") for i, d in enumerate(payload)]

@@ -388,8 +388,25 @@ class TestProbeAndReport:
         assert "one dataset" in capsys.readouterr().err
         assert {d: (d / "phase.json").stat().st_mtime_ns for d in dirs} == before
 
+    def test_report_shared_run_id_refused_before_any_write(self, run_dir, tmp_path, capsys):
+        # both runs would write cli-test.test_acc.curve.csv, the second over the first
+        other = tmp_path / "runs" / "q"
+        assert cli_main(sketch_args(other, seed="4")) == 0
+        dirs = (run_dir, other)
+        before = {d: (d / "phase.json").stat().st_mtime_ns for d in dirs}
+        out = tmp_path / "cmp"
+        assert cli_main(["report", "--run", str(run_dir), "--run", str(other), "--out", str(out)]) == 1
+        assert "share the run id 'cli-test'" in capsys.readouterr().err
+        assert {d: (d / "phase.json").stat().st_mtime_ns for d in dirs} == before
+        assert not out.exists()
+
     def test_report_needs_a_target(self, capsys):
         assert cli_main(["report"]) == 1
+
+    def test_report_sweep_without_run_directories_names_it(self, tmp_path, capsys):
+        (tmp_path / "grid" / "notes").mkdir(parents=True)
+        assert cli_main(["report", "--sweep", str(tmp_path / "grid")]) == 1
+        assert f"--sweep {tmp_path / 'grid'} holds no run directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_probe_size_below_one_is_config_error(self, run_dir, capsys, size):
@@ -435,6 +452,10 @@ class TestProbeAndReport:
         ("config.json", "report", ("config", "arch"), ("set", 5), "mistyped field 'config.arch'"),
         ("config.json", "report", ("config", "train", "lr"), ("set", "x"),
          "mistyped field 'config.train.lr'"),
+        ("manifest.json", "sketch", ("threads", "OMP_NUM_THREADS"), ("set", 5),
+         "mistyped field 'threads'"),
+        ("config.json", "report", ("config", "scope"), ("set", "bogus"),
+         "mistyped field 'config.scope'"),
     ])
     def test_malformed_record_names_file_and_field(self, run_dir, capsys, name, command, key, damage,
                                                    message):
@@ -448,6 +469,14 @@ class TestProbeAndReport:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert re.search(f"runtime failure: .*{message}", err) and str(path) in err, err
+
+    def test_stored_value_a_record_rejects_exits_one(self, run_dir, capsys):
+        # a record's own check is a ConfigError, read from a file or from a flag
+        path = run_dir / "config.json"
+        path.write_text(json.dumps(damaged(json.loads(path.read_text()), ("config", "train", "lr"),
+                                           ("set", -1.0))))
+        assert cli_main(["report", "--run", str(run_dir)]) == 1
+        assert "error: lr must be positive" in capsys.readouterr().err
 
     def test_probe_then_report_keeps_probe_column(self, run_dir):
         assert cli_main(["probe", "--run", str(run_dir)]) == 0

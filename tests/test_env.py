@@ -37,6 +37,14 @@ def test_existing_blas_setting_respected():
     assert run_clean(code, OPENBLAS_NUM_THREADS="7") == "7"
 
 
+def test_python_m_sparse_lab_runs_the_cli_without_a_warning():
+    # runpy warns on `python -m sparse_lab.cli`: importing the package loads cli first
+    code = ("import runpy, sys; sys.argv[1:] = ['--help'];"
+            "runpy.run_module('sparse_lab', run_name='__main__', alter_sys=True)")
+    out = run_clean(code, PYTHONWARNINGS="error::RuntimeWarning")
+    assert out.startswith("usage: sparse-lab")
+
+
 def import_warnings(first: str, **extra_env: str) -> list[str]:
     """Warnings raised by ``import sparse_lab`` after the statement ``first``."""
     code = (f"import warnings\n{first}\n"
