@@ -20,7 +20,7 @@ import numpy as np
 from . import probes, reporting, selftest, sketch
 from .nn import MlpArchitecture, TrainConfig
 from .pruning import PruneScope
-from .rundir import DatasetSpec, SketchConfig, is_run_dir
+from .rundir import CONFIG, DatasetSpec, SketchConfig, is_run_dir
 from .util import ConfigError, derive_seed
 
 
@@ -74,12 +74,13 @@ SKETCH_OPTIONS: dict[str, tuple] = {
 # the defaults no record owns: epochs and run_id are required record fields
 CLI_DEFAULTS = {"dataset": "blobs", "data-dir": "data/mnist", "epochs": 200, "run-id": "sketch"}
 
-# the dataset options each --dataset kind reads; giving any other one is an error
+# the dataset options each --dataset kind reads; giving any other one is an error.
+# idx and blobs set the fields DatasetSpec lists for them; mnist names its files by --data-dir
 DATASET_OPTIONS: dict[str, set[str]] = {
-    "blobs": {"n-per-class", "num-classes", "dim", "separation", "train-fraction", "data-seed"},
-    "idx": {"train-images", "train-labels", "test-images", "test-labels", "limit"},
-    "mnist": {"data-dir", "limit"},
-}
+    kind: {flag for flag, (_conv, target, _help) in SKETCH_OPTIONS.items()
+           if target in {f"dataset.{name}" for name in names}}
+    for kind, names in DatasetSpec.KIND_FIELDS.items()
+} | {"mnist": {"data-dir", "limit"}}
 
 # the DatasetSpec file field -> its standard MNIST file name under --data-dir
 MNIST_FILES = {
@@ -101,6 +102,7 @@ SWEEP_OPTIONS: dict[str, tuple] = {
 
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -111,7 +113,10 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in line_of:
+            raise ConfigError(f"{path}: key {key!r} given twice, on lines {line_of[key]} and {lineno}")
+        values[key], line_of[key] = value.strip(), lineno
     return values
 
 
@@ -191,10 +196,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_dir(run: str) -> Path:
+    """The path a --run option names, refused unless it holds a run's config."""
+    if not is_run_dir(run):
+        raise ConfigError(f"--run {run} is not a run directory (it holds no {CONFIG})")
+    return Path(run)
+
+
 def _cmd_probe(args: argparse.Namespace) -> int:
     if args.probe_size < 1:
         raise ConfigError(f"--probe-size must be at least 1, got {args.probe_size}")
-    run_dir = Path(args.run)
+    run_dir = _run_dir(args.run)
     cfg = sketch.read_config(run_dir)
     _, test_set = sketch.load_dataset(cfg.dataset)
     size = min(args.probe_size, test_set.size)
@@ -216,11 +228,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError(f"--delta must be a positive finite number, got {args.delta}")
     run_dirs: list[Path] = []
     if args.sweep:
+        if not Path(args.sweep).is_dir():
+            raise ConfigError(f"--sweep {args.sweep} is not a directory")
         run_dirs.extend(sorted(p for p in Path(args.sweep).iterdir() if is_run_dir(p)))
         if not run_dirs:
             raise ConfigError(f"--sweep {args.sweep} holds no run directory")
     for d in args.run or []:
-        run_dirs.append(Path(d))
+        run_dirs.append(_run_dir(d))
     if not run_dirs:
         raise ConfigError("report needs --run DIR (repeatable) or --sweep DIR")
 

@@ -15,9 +15,10 @@ Every file is written through ``write_atomic``, so a reader or a killed
 writer sees the old contents or the new, never a part.  A round is complete
 once its ``metrics.json`` exists: it is written last.  Readers list the
 completed rounds and stop at the first one without it; only the writer
-(``run_sketch``) reclaims such a half-written round.  Each stored record is
-read back by one decoder that checks every value against the record's
-annotations as it builds it, so a damaged record is a CheckpointError
+(``run_sketch``) reclaims such a half-written round.  Each JSON file is one
+record, written as its ``asdict`` and read back by one decoder that checks
+every value against the record's annotations as it builds it; only a field
+whose default is None may be absent.  So a damaged record is a CheckpointError
 naming the file and the field, while a record's own check raises ConfigError.
 """
 
@@ -32,12 +33,12 @@ import re
 import shutil
 import types
 import typing
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from enum import EnumMeta
 from pathlib import Path
 
 from .data import train_count
-from .nn import EpochMetrics, MlpArchitecture, TrainConfig
+from .nn import MlpArchitecture, TrainConfig
 from .pruning import PruneScope
 from .util import MAX_SEED, ConfigError
 
@@ -61,13 +62,19 @@ class CheckpointError(ValueError):
 class DatasetSpec:
     """Where the run's data comes from: an IDX file pair or synthetic blobs.
 
-    Each kind reads and checks only its own fields.  ``idx`` reads the four
-    file paths (non-empty) and ``limit`` (None for the whole training set,
-    else >= 1); ``blobs`` reads ``n_per_class``, ``num_classes`` and ``dim``
-    (each >= 1), ``separation`` (finite), ``train_fraction`` (in (0, 1),
-    leaving both sides of the split non-empty) and ``data_seed`` (unsigned
-    64-bit).
+    Each kind reads and checks only its own fields, listed in ``KIND_FIELDS``;
+    every other field must keep its default, so one dataset has one config
+    hash.  ``idx`` reads the four file paths (non-empty) and ``limit`` (None
+    for the whole training set, else >= 1); ``blobs`` reads ``n_per_class``,
+    ``num_classes`` and ``dim`` (each >= 1), ``separation`` (finite),
+    ``train_fraction`` (in (0, 1), leaving both sides of the split non-empty)
+    and ``data_seed`` (unsigned 64-bit).
     """
+
+    KIND_FIELDS = {  # not annotated, so not a field
+        "idx": ("train_images", "train_labels", "test_images", "test_labels", "limit"),
+        "blobs": ("n_per_class", "num_classes", "dim", "separation", "train_fraction", "data_seed"),
+    }
 
     kind: str  # "idx" | "blobs"
     train_images: str = ""
@@ -83,13 +90,19 @@ class DatasetSpec:
     data_seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.kind not in self.KIND_FIELDS:
+            raise ConfigError(f"unknown dataset kind {self.kind!r}")
+        unread = [f.name for f in fields(self) if f.name not in ("kind", *self.KIND_FIELDS[self.kind])
+                  and getattr(self, f.name) != f.default]
+        if unread:
+            raise ConfigError(f"dataset kind {self.kind} does not read {unread[0]}")
         if self.kind == "idx":
             paths = (self.train_images, self.train_labels, self.test_images, self.test_labels)
             if not all(paths):
                 raise ConfigError("dataset kind idx needs all four IDX file paths")
             if self.limit is not None and self.limit < 1:
                 raise ConfigError(f"limit must be None or >= 1, got {self.limit}")
-        elif self.kind == "blobs":
+        else:
             if min(self.n_per_class, self.num_classes, self.dim) < 1:
                 raise ConfigError("n_per_class, num_classes and dim must be >= 1")
             if not math.isfinite(self.separation):
@@ -102,8 +115,6 @@ class DatasetSpec:
                                   "leaves an empty side")
             if not 0 <= self.data_seed <= MAX_SEED:
                 raise ConfigError(f"data_seed must fit in unsigned 64 bits, got {self.data_seed}")
-        else:
-            raise ConfigError(f"unknown dataset kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +155,11 @@ def _config_dict(cfg: SketchConfig) -> dict:
 
 @dataclass(frozen=True)
 class RoundMetrics:
-    """Metrics of one round (round 0 is the dense baseline at sparsity 0)."""
+    """One round's ``metrics.json`` (round 0 is the dense baseline at sparsity 0).
+
+    ``config_hash`` ties the round to its run's config, and the two epoch
+    tuples hold the running training loss and accuracy of each epoch.
+    """
 
     round: int
     sparsity: float
@@ -153,6 +168,9 @@ class RoundMetrics:
     test_loss: float
     test_acc: float
     wall_seconds: float
+    config_hash: str = ""
+    epoch_train_loss: tuple[float, ...] = ()
+    epoch_train_acc: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -241,10 +259,10 @@ def _read_json(path: Path):
         raise CheckpointError(f"unreadable {path.stem} in {path} ({exc})") from exc
 
 
-def _decode(value, hint, path: Path, where: str = "", optional=(), strict=True):
+def _decode(value, hint, path: Path, where: str = ""):
     """JSON ``value`` checked against the type ``hint`` and built as one: a
     dataclass (or a plain object, given as a dict of key types) from an object
-    with each field but ``optional`` and, if ``strict``, no other key; a tuple
+    with no other key and each field but those whose default is None; a tuple
     or MlpArchitecture from a list; a dict from an object; an enum from one of
     its values; a float from any number.  Else CheckpointError naming the field."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -255,8 +273,9 @@ def _decode(value, hint, path: Path, where: str = "", optional=(), strict=True):
             raise CheckpointError(f"{path}: {where or 'the record'} is not a JSON object")
         hints = hint if isinstance(hint, dict) else typing.get_type_hints(hint)
         prefix = f"{where}." if where else ""
-        missing = [n for n in hints if n not in value and n not in optional]
-        unexpected = [k for k in value if strict and k not in hints]
+        may_lack = {f.name for f in fields(hint) if f.default is None} if is_dataclass(hint) else ()
+        missing = [n for n in hints if n not in value and n not in may_lack]
+        unexpected = [k for k in value if k not in hints]
         for what, keys in (("missing", missing), ("unexpected", unexpected)):
             if keys:
                 raise CheckpointError(f"{path}: {what} field '{prefix}{keys[0]}'")
@@ -300,31 +319,20 @@ def read_config(run_dir: str | Path) -> SketchConfig:
     return stored["config"]
 
 
-def commit_round(
-    run_dir: str | Path,
-    k: int,
-    metrics: RoundMetrics,
-    epoch_history: list[EpochMetrics],
-    config_hash: str,
-) -> None:
-    """Write round k's metrics.json, which marks its tensors as complete."""
-    write_json(round_dir(run_dir, k) / ROUND_METRICS, asdict(metrics) | {
-        "config_hash": config_hash,
-        "epoch_train_loss": [h.train_loss for h in epoch_history],
-        "epoch_train_acc": [h.train_acc for h in epoch_history],
-    })
+def commit_round(run_dir: str | Path, metrics: RoundMetrics) -> None:
+    """Write the round's metrics.json, which marks its tensors as complete."""
+    write_json(round_dir(run_dir, metrics.round) / ROUND_METRICS, asdict(metrics))
 
 
 def completed_rounds(run_dir: str | Path, expected_hash: str) -> list[RoundMetrics]:
     """Metrics of the completed rounds in order; reads only, deletes nothing."""
     done: list[RoundMetrics] = []
     while (path := round_dir(run_dir, len(done)) / ROUND_METRICS).exists():
-        try:  # the record's extra keys are the config hash and the epoch history
-            payload = _read_json(path)
-            metrics = _decode(payload, RoundMetrics, path, strict=False)
+        try:
+            metrics = _decode(_read_json(path), RoundMetrics, path)
         except CheckpointError as exc:
             raise CheckpointError(f"round {len(done)}: {exc}") from exc
-        if payload.get("config_hash") != expected_hash:
+        if metrics.config_hash != expected_hash:
             raise ValueError(f"round {len(done)}: checkpoint belongs to a different config")
         done.append(metrics)
     return done
@@ -345,7 +353,7 @@ def load_manifest(run_dir: str | Path) -> RunManifest | None:
     path = Path(run_dir) / MANIFEST
     if not path.exists():
         return None
-    return _decode(_read_json(path), RunManifest, path, optional=("numpy", "blas", "threads"))
+    return _decode(_read_json(path), RunManifest, path)
 
 
 def save_probes(run_dir: str | Path, probes: list[ProbeResult]) -> None:

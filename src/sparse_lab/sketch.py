@@ -63,20 +63,12 @@ def load_round_state(run_dir: str | Path, k: int) -> tuple[ParamSet, Mask]:
     return params, Mask.on_buffer(mask.buffer, mask.shapes())
 
 
-def _save_round(
-    run_dir: Path,
-    k: int,
-    params: ParamSet,
-    mask: Mask,
-    metrics: RoundMetrics,
-    epoch_history: list,
-    config_hash: str,
-) -> None:
-    d = round_dir(run_dir, k)
+def _save_round(run_dir: Path, params: ParamSet, mask: Mask, metrics: RoundMetrics) -> None:
+    d = round_dir(run_dir, metrics.round)
     d.mkdir(parents=True, exist_ok=True)
     save_params(d / PARAMS, params)
     save_tensors(d / MASK, mask)
-    commit_round(run_dir, k, metrics, epoch_history, config_hash)
+    commit_round(run_dir, metrics)
 
 
 def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchRun:
@@ -172,8 +164,11 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
             test_loss=test_loss,
             test_acc=test_acc,
             wall_seconds=time.perf_counter() - started,
+            config_hash=cfg_hash,
+            epoch_train_loss=tuple(h.train_loss for h in history),
+            epoch_train_acc=tuple(h.train_acc for h in history),
         )
-        _save_round(run_dir, k, params, mask, metrics, history, cfg_hash)
+        _save_round(run_dir, params, mask, metrics)
         rounds.append(metrics)
         if on_round is not None:
             on_round(metrics)

@@ -99,6 +99,13 @@ class TestSketchCommand:
         assert capsys.readouterr().err.count(f"does not read --{flag}") == 2
         assert not (tmp_path / "x").exists() and not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("dataset,flag,value", [("blobs", "limit", "0"), ("idx", "dim", "32")])
+    def test_flag_at_its_default_the_dataset_never_reads_is_config_error(self, tmp_path, capsys,
+                                                                          dataset, flag, value):
+        assert cli_main(sketch_args(tmp_path / "x", dataset=dataset, **{flag: value})) == 1
+        assert f"does not read --{flag}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_out_is_config_error(self, capsys):
         assert cli_main(["sketch", "--dataset", "blobs"]) == 1
         assert "--out" in capsys.readouterr().err
@@ -236,6 +243,15 @@ class TestConfigFile:
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("just some words\n")
         assert cli_main(["sketch", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+
+    def test_config_key_given_twice_rejected(self, tmp_path, capsys):
+        # the first value would be parsed and then silently overridden by the second
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text("dim = 8\nnum-classes = 4\nn-per-class = 30\nt-iter = 0.3\n"
+                            "t-end = 0.8\nepochs = 1\n# later\nepochs = 2\n")
+        assert cli_main(["sketch", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+        assert f"{cfg_file}: key 'epochs' given twice, on lines 6 and 8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSweepCommand:
@@ -408,6 +424,21 @@ class TestProbeAndReport:
         assert cli_main(["report", "--sweep", str(tmp_path / "grid")]) == 1
         assert f"--sweep {tmp_path / 'grid'} holds no run directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,option,target", [
+        ("report", "sweep", "missing"), ("report", "sweep", "file"),
+        ("probe", "run", "plain"), ("report", "run", "plain"),
+    ])
+    def test_option_naming_no_run_is_config_error(self, tmp_path, capsys, command, option, target):
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "plain" / "notes.txt").write_text("not a run\n")
+        (tmp_path / "file").write_text("not a directory\n")
+        before = sorted(tmp_path.rglob("*"))
+        path = tmp_path / target
+        assert cli_main([command, f"--{option}", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{option} {path} ") and "runtime failure" not in err, err
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_probe_size_below_one_is_config_error(self, run_dir, capsys, size):
         assert cli_main(["probe", "--run", str(run_dir), "--probe-size", size]) == 1
@@ -456,6 +487,11 @@ class TestProbeAndReport:
          "mistyped field 'threads'"),
         ("config.json", "report", ("config", "scope"), ("set", "bogus"),
          "mistyped field 'config.scope'"),
+        ("round_003/metrics.json", "report", ("bogus",), "add", "round 3: .* unexpected field 'bogus'"),
+        ("round_003/metrics.json", "report", ("epoch_train_loss",), ("set", "x"),
+         "round 3: .* mistyped field 'epoch_train_loss'"),
+        ("round_003/metrics.json", "report", ("config_hash",), "drop",
+         "round 3: .* missing field 'config_hash'"),
     ])
     def test_malformed_record_names_file_and_field(self, run_dir, capsys, name, command, key, damage,
                                                    message):

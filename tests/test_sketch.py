@@ -1,6 +1,7 @@
 """Sketch orchestration: the prune/rewind/retrain loop, phases, resume, sweep."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -30,7 +31,19 @@ from sparse_lab import (
 )
 from sparse_lab.checkpoint import CheckpointError, save_params
 from sparse_lab.reporting import write_phase_report
-from sparse_lab.rundir import read_config, write_config
+from sparse_lab.rundir import (
+    ProbeResult,
+    RunManifest,
+    commit_round,
+    completed_rounds,
+    load_manifest,
+    load_probes,
+    read_config,
+    round_dir,
+    save_manifest,
+    save_probes,
+    write_config,
+)
 from sparse_lab.util import ConfigError
 
 
@@ -452,6 +465,48 @@ class TestSweep:
         assert [dataclasses.asdict(m) for m in first[0].rounds] == [dataclasses.asdict(m) for m in second[0].rounds]
 
 
+def every_field_config(limit=100):
+    return SketchConfig(
+        run_id="golden",
+        arch=MlpArchitecture([8, 16, 4]),
+        train=TrainConfig(epochs=5, lr=0.05, momentum=0.5, weight_decay=1e-4, batch_size=32,
+                          lr_milestones=(2, 4), lr_gamma=0.5, seed=3),
+        dataset=DatasetSpec(kind="idx", train_images="a", train_labels="b",
+                            test_images="c", test_labels="d", limit=limit),
+        t_iter=0.25, t_end=0.9, scope=PruneScope.GLOBAL, epsilon=0.3, noise_seed=9,
+    )
+
+
+def stored_round(k=2):
+    return RoundMetrics(round=k, sparsity=0.36, final_train_loss=0.25, final_train_acc=0.875,
+                        test_loss=0.5, test_acc=0.75, wall_seconds=1.5, config_hash="ab" * 32,
+                        epoch_train_loss=(2.3025850929940455, 0.6931471805599453, 0.1),
+                        epoch_train_acc=(0.1, 0.5, 0.9))
+
+
+def write_rounds(run_dir, rounds):
+    for metrics in rounds:
+        round_dir(run_dir, metrics.round).mkdir()
+        commit_round(run_dir, metrics)
+
+
+# (writer, reader, record): each stored record reads back equal to what was written
+STORED_RECORDS = {
+    "config": (write_config, read_config, every_field_config()),
+    "manifest": (save_manifest, load_manifest, RunManifest(
+        run_id="golden", config_hash="ab" * 32, tool_version="0.1.0", started_at="t0",
+        finished_at=None, host="h", numpy="2.4.6", blas="scipy-openblas",
+        threads={"SPARSE_LAB_THREADS": "1", "OMP_NUM_THREADS": None})),
+    "rounds": (write_rounds, lambda d: completed_rounds(d, "ab" * 32),
+               [stored_round(k) for k in range(3)]),
+    "probes": (save_probes, load_probes, [
+        ProbeResult(y_exc_l1=0.5, per_layer_amplification=(1.25, 0.75), weight_l1_masked_out=3.0,
+                    condition1_score=0.125, condition2_score=1.25),
+        ProbeResult(y_exc_l1=0, per_layer_amplification=(), weight_l1_masked_out=0.0,
+                    condition1_score=0.0, condition2_score=0.0)]),
+}
+
+
 class TestConfigRoundTrip:
     def test_config_hash_is_pinned(self):
         # existing run directories resume only while these hashes hold
@@ -477,6 +532,44 @@ class TestConfigRoundTrip:
         rebuilt = read_config(tmp_path)
         assert rebuilt.config_hash() == cfg.config_hash()
         assert rebuilt == cfg
+
+    @pytest.mark.parametrize("name", list(STORED_RECORDS))
+    def test_stored_record_round_trips(self, tmp_path, name):
+        write, read, record = STORED_RECORDS[name]
+        write(tmp_path, record)
+        assert read(tmp_path) == record
+
+    def test_round_metrics_bytes_are_pinned(self, tmp_path):
+        # the sha256 of what commit_round wrote for this round before the
+        # config hash and the epoch history were fields of RoundMetrics
+        write_rounds(tmp_path, [stored_round()])
+        written = (tmp_path / "round_002" / "metrics.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == \
+            "9b03942e68a72e24a16ff924e92b10044f019ccbc42c40fc2e2c77e572f14b17"
+
+    @pytest.mark.parametrize("limit", [None, 100])
+    def test_config_without_dataset_limit_loads_only_when_it_was_none(self, tmp_path, limit):
+        # a field whose default is None may be absent; the stored hash still decides
+        cfg = every_field_config(limit)
+        write_config(tmp_path, cfg)
+        path = tmp_path / "config.json"
+        payload = json.loads(path.read_text())
+        del payload["config"]["dataset"]["limit"]
+        path.write_text(json.dumps(payload))
+        if limit is None:
+            assert read_config(tmp_path) == cfg
+        else:
+            with pytest.raises(ValueError, match="config hash mismatch"):
+                read_config(tmp_path)
+
+    @pytest.mark.parametrize("kind,name,value", [("blobs", "limit", 5), ("blobs", "train_images", "a"),
+                                                 ("idx", "dim", 8), ("idx", "data_seed", 1)])
+    def test_dataset_field_its_kind_never_reads_refused(self, kind, name, value):
+        # else one dataset would have a config hash per value of a field it ignores
+        paths = {"train_images": "a", "train_labels": "b", "test_images": "c", "test_labels": "d"}
+        given = (paths if kind == "idx" else {}) | {name: value}
+        with pytest.raises(ConfigError, match=f"dataset kind {kind} does not read {name}"):
+            DatasetSpec(kind=kind, **given)
 
     def test_phase_report_serializes(self, tmp_path):
         report = PhaseReport(detected=True, delta=2.0, dip_round=3, recovery_round=5,
