@@ -155,9 +155,10 @@ def _build_sketch_config(args: argparse.Namespace, table: dict) -> tuple[dict, S
     given = _merge_options(args, table)
     if not given.get("out"):
         raise ConfigError("--out is required")
+    _out_dir(given["out"])  # before any data loads
     kind = given.get("dataset", CLI_DEFAULTS["dataset"])
     if kind not in DATASET_OPTIONS:
-        raise ConfigError(f"unknown dataset kind {kind!r} (expected mnist, idx, or blobs)")
+        raise ConfigError(f"unknown dataset kind {kind!r} (expected {', '.join(DATASET_OPTIONS)})")
     ignored = (set().union(*DATASET_OPTIONS.values()) - DATASET_OPTIONS[kind]) & set(given)
     if ignored:
         flags = ", ".join(f"--{k}" for k in sorted(ignored))
@@ -171,7 +172,7 @@ def _build_sketch_config(args: argparse.Namespace, table: dict) -> tuple[dict, S
             fields[record][name] = opts[key]
     if kind == "mnist":
         fields["dataset"] |= {f: str(Path(opts["data-dir"]) / name) for f, name in MNIST_FILES.items()}
-    spec = DatasetSpec(kind="blobs" if kind == "blobs" else "idx", **fields["dataset"])
+    spec = DatasetSpec(kind="idx" if kind == "mnist" else kind, **fields["dataset"])
     default_arch = [spec.dim, 64, 32, spec.num_classes] if kind == "blobs" else [784, 300, 100, 10]
     return opts, SketchConfig(arch=MlpArchitecture(opts.get("arch", default_arch)),
                               train=TrainConfig(**fields["train"]), dataset=spec, **fields[""])
@@ -194,6 +195,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"  {run.config.run_id}: {len(run.rounds)} rounds, "
               f"final sparsity {final.sparsity:.5f}, test acc {final.test_acc:.4f}")
     return 0
+
+
+def _out_dir(out: str) -> Path:
+    """The path an --out option names, refused unless it is or can become a directory."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+    return path
 
 
 def _run_dir(run: str) -> Path:
@@ -241,6 +251,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     runs = [reporting.load_run(d) for d in run_dirs]
     metrics = [m.strip() for m in args.metrics.split(",")] if args.metrics else ["test_acc"]
     reporting.check_curves(runs, metrics)  # before anything is written
+    out_dir = _out_dir(args.out) if args.out else (Path(args.sweep) if args.sweep else run_dirs[0])
 
     probes_by_run = {}
     for run, d in zip(runs, run_dirs):
@@ -248,7 +259,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             run.phase_annotation = reporting.detect_phases(run, args.delta)
         probes_by_run[run.config.run_id] = reporting.finalize_run_dir(run, d)
 
-    out_dir = Path(args.out) if args.out else (Path(args.sweep) if args.sweep else run_dirs[0])
     for metric in metrics:
         reporting.emit_curves(runs, metric, out_dir, probes_by_run)
 

@@ -1,9 +1,13 @@
 """Dataset loading and synthesis: IDX files, Gaussian blob fallbacks,
 symmetric label noise with an exact audit trail, and seeded splits.
+
+A dataset is its features, labels, class count and noise record.  One IDX
+reader and one IDX writer serve the image and the label file of a pair.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,7 +58,6 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    name: str
     noise: NoiseRecord | None = None
 
     def __post_init__(self) -> None:
@@ -80,22 +83,37 @@ class LabeledDataset:
         return self.features.shape[1]
 
 
-def _read_exact(f, count: int, path: Path, what: str) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
-        raise ValueError(f"truncated file {path}: expected {count} bytes for {what}, got {len(data)}")
-    return data
+def _read_idx(path: str | Path, magic: int) -> np.ndarray:
+    """The uint8 payload of an IDX file, in the shape its header lists.
+
+    The header is ``magic`` (``0x0000_08nn``: unsigned bytes in nn dimensions),
+    then nn big-endian uint32 sizes.
+    """
+    raw = Path(path).read_bytes()
+    ndim = magic & 0xFF
+    header = 4 * (1 + ndim)
+    if len(raw) < header:
+        raise ValueError(f"truncated file {path}: expected a {header}-byte header, got {len(raw)}")
+    found, *shape = struct.unpack_from(f">{1 + ndim}I", raw)
+    if found != magic:
+        raise ValueError(f"bad magic in {path}: 0x{found:08x}, expected 0x{magic:08x}")
+    size = math.prod(shape)
+    if len(raw) < header + size:
+        raise ValueError(f"truncated file {path}: expected {header + size} bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype=np.uint8, count=size, offset=header).reshape(shape)
 
 
-def _read_be32(f, path: Path, what: str) -> int:
-    return struct.unpack(">I", _read_exact(f, 4, path, what))[0]
+def _write_idx(path: str | Path, magic: int, payload: np.ndarray) -> None:
+    """Write a uint8 array as an IDX file: ``magic``, its sizes, its bytes."""
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{1 + payload.ndim}I", magic, *payload.shape))
+        f.write(payload.tobytes())
 
 
 def load_idx(
     images_path: str | Path,
     labels_path: str | Path,
     limit: int | None = None,
-    name: str = "idx",
 ) -> LabeledDataset:
     """Load an IDX image/label pair into a flattened, standardized dataset.
 
@@ -103,44 +121,19 @@ def load_idx(
     (mean 0.1307, std 0.3081); images flatten to D = rows * cols.  ``limit``
     truncates to the first samples.
     """
-    images_path = Path(images_path)
-    labels_path = Path(labels_path)
-
-    with open(images_path, "rb") as f:
-        magic = _read_be32(f, images_path, "image magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise ValueError(
-                f"bad magic in {images_path}: 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}"
-            )
-        count = _read_be32(f, images_path, "image count")
-        rows = _read_be32(f, images_path, "row count")
-        cols = _read_be32(f, images_path, "column count")
-        raw = _read_exact(f, count * rows * cols, images_path, "pixel data")
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-
-    with open(labels_path, "rb") as f:
-        magic = _read_be32(f, labels_path, "label magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise ValueError(
-                f"bad magic in {labels_path}: 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}"
-            )
-        label_count = _read_be32(f, labels_path, "label count")
-        labels_raw = _read_exact(f, label_count, labels_path, "label data")
-    labels = np.frombuffer(labels_raw, dtype=np.uint8).astype(np.int64)
-
-    if count != label_count:
+    images = _read_idx(images_path, IDX_IMAGE_MAGIC)
+    labels = _read_idx(labels_path, IDX_LABEL_MAGIC)
+    if len(images) != len(labels):
         raise ValueError(
-            f"length mismatch: {images_path} has {count} images but "
-            f"{labels_path} has {label_count} labels"
+            f"length mismatch: {images_path} has {len(images)} images but "
+            f"{labels_path} has {len(labels)} labels"
         )
-    if limit is not None:
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
-        images = images[:limit]
-        labels = labels[:limit]
-
-    features = (images.astype(np.float64) / 255.0 - MNIST_MEAN) / MNIST_STD
-    return LabeledDataset(features=features, labels=labels, num_classes=10, name=name)
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
+    n, rows, cols = images.shape
+    pixels = images.reshape(n, rows * cols)[:limit]
+    features = (pixels.astype(np.float64) / 255.0 - MNIST_MEAN) / MNIST_STD
+    return LabeledDataset(features=features, labels=labels[:limit], num_classes=10)
 
 
 def save_idx(
@@ -156,13 +149,8 @@ def save_idx(
         raise ValueError(f"images must be [N, rows, cols], got shape {images.shape}")
     if labels.shape != (images.shape[0],):
         raise ValueError("labels must align with images")
-    n, rows, cols = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        f.write(labels.tobytes())
+    _write_idx(images_path, IDX_IMAGE_MAGIC, images)
+    _write_idx(labels_path, IDX_LABEL_MAGIC, labels)
 
 
 def export_idx(
@@ -190,7 +178,6 @@ def synth_blobs(
     dim: int,
     separation: float,
     seed: int,
-    name: str = "blobs",
 ) -> LabeledDataset:
     """Gaussian clusters with unit variance, centered on a grid lattice.
 
@@ -218,7 +205,7 @@ def synth_blobs(
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
     features = rng.standard_normal((n, dim))
     features.reshape(num_classes, n_per_class, dim)[...] += centers[:, None, :]  # rows grouped by class
-    return LabeledDataset(features=features, labels=labels, num_classes=num_classes, name=name)
+    return LabeledDataset(features=features, labels=labels, num_classes=num_classes)
 
 
 def inject_symmetric_noise(
@@ -250,13 +237,7 @@ def inject_symmetric_noise(
         original_labels=tuple(int(v) for v in originals),
         noise_seed=seed,
     )
-    noisy = LabeledDataset(
-        features=ds.features,
-        labels=labels,
-        num_classes=ds.num_classes,
-        name=ds.name,
-        noise=record,
-    )
+    noisy = LabeledDataset(features=ds.features, labels=labels, num_classes=ds.num_classes, noise=record)
     return noisy, record
 
 
@@ -264,9 +245,7 @@ def revert_noise(ds: LabeledDataset, record: NoiseRecord) -> LabeledDataset:
     """Restore the clean labels recorded in a NoiseRecord."""
     labels = ds.labels.copy()
     labels[np.array(record.flipped_indices, dtype=np.int64)] = record.original_labels
-    return LabeledDataset(
-        features=ds.features, labels=labels, num_classes=ds.num_classes, name=ds.name
-    )
+    return LabeledDataset(features=ds.features, labels=labels, num_classes=ds.num_classes)
 
 
 def train_count(n: int, train_fraction: float) -> int | None:
@@ -290,12 +269,7 @@ def split(
     order = rng.permutation(n)
     tr, te = np.sort(order[:n_train]), np.sort(order[n_train:])
 
-    def take(idx: np.ndarray, tag: str) -> LabeledDataset:
-        return LabeledDataset(
-            features=ds.features[idx],
-            labels=ds.labels[idx],
-            num_classes=ds.num_classes,
-            name=f"{ds.name}/{tag}",
-        )
+    def take(idx: np.ndarray) -> LabeledDataset:
+        return LabeledDataset(features=ds.features[idx], labels=ds.labels[idx], num_classes=ds.num_classes)
 
-    return take(tr, "train"), take(te, "test")
+    return take(tr), take(te)

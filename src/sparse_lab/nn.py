@@ -2,7 +2,8 @@
 
 Dense MLPs with ReLU hidden activations and identity output, exact
 reverse-mode gradients for mean softmax cross-entropy, SGD with momentum,
-milestone learning-rate decay, and decoupled-from-the-loss L2 weight decay.
+milestone learning-rate decay, and an L2 term added to the gradient before
+momentum and left out of the reported loss.
 The public forward, gradient and evaluation functions take a binary mask and
 apply it, so pruned weights contribute exactly zero and receive exactly zero
 gradient whatever the stored values are.

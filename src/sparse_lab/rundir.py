@@ -102,7 +102,7 @@ class DatasetSpec:
                 raise ConfigError("dataset kind idx needs all four IDX file paths")
             if self.limit is not None and self.limit < 1:
                 raise ConfigError(f"limit must be None or >= 1, got {self.limit}")
-        else:
+        elif self.kind == "blobs":
             if min(self.n_per_class, self.num_classes, self.dim) < 1:
                 raise ConfigError("n_per_class, num_classes and dim must be >= 1")
             if not math.isfinite(self.separation):

@@ -43,9 +43,8 @@ from .util import ConfigError, derive_seed
 def load_dataset(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Materialize (clean train, clean test) for a DatasetSpec."""
     if spec.kind == "idx":
-        train_ds = load_idx(spec.train_images, spec.train_labels, limit=spec.limit, name="idx/train")
-        test_ds = load_idx(spec.test_images, spec.test_labels, name="idx/test")
-        return train_ds, test_ds
+        return (load_idx(spec.train_images, spec.train_labels, limit=spec.limit),
+                load_idx(spec.test_images, spec.test_labels))
     full = synth_blobs(
         spec.n_per_class, spec.num_classes, spec.dim, spec.separation, spec.data_seed
     )

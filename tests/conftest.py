@@ -26,7 +26,7 @@ def tiny_dataset():
     """Two well-separated points, one per class."""
     feats = np.array([[0.0, 1.0], [1.0, 0.0]])
     labels = np.array([0, 1])
-    return LabeledDataset(features=feats, labels=labels, num_classes=2, name="tiny")
+    return LabeledDataset(features=feats, labels=labels, num_classes=2)
 
 
 @pytest.fixture

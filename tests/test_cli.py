@@ -42,9 +42,9 @@ def sketch_args(out, dataset="blobs", command="sketch", **overrides):
 def damaged(payload, key, damage):
     """``payload`` with the value at the path ``key`` dropped, set to 0 ("add"),
     put in a list ("list") or set to ``damage`` itself (a ``("set", value)`` pair);
-    an empty ``key`` puts the whole payload in a list."""
+    an empty ``key`` puts the whole payload in a list or replaces it by the set value."""
     if not key:
-        return [payload]
+        return damage[1] if isinstance(damage, tuple) else [payload]
     head, *rest = key
     if rest:
         damaged(payload[head], rest, damage)
@@ -117,6 +117,16 @@ class TestSketchCommand:
         assert cli_main(args) == 2
         assert "runtime failure" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_stalled_pruning_keeps_committed_rounds(self, tmp_path, capsys):
+        # one weight per layer survives round 2, and half of one weight rounds to none pruned
+        out = tmp_path / "x"
+        args = sketch_args(out, dim="2", arch="2,2,2", **{"num-classes": "2", "t-iter": "0.5",
+                                                           "t-end": "0.99"})
+        assert cli_main(args) == 2
+        assert ("runtime failure: pruning stalled at round 3: t_iter=0.5 removes no weights "
+                "from 2 survivors") in capsys.readouterr().err
+        assert [m.round for m in completed_rounds(out, read_config(out).config_hash())] == [0, 1, 2]
 
     @pytest.mark.parametrize("dataset,flag,value", [
         ("blobs", "n-per-class", "0"), ("blobs", "train-fraction", "1.5"), ("idx", "limit", "-3"),
@@ -354,6 +364,18 @@ class TestConfigBoundary:
         assert "--ou" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["sketch", "sweep"])
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys, monkeypatch, command, under):
+        file = tmp_path / "F"
+        file.write_text("not a run\n")
+        out = file / under if under else file
+        monkeypatch.setattr(sketch, "load_dataset", lambda spec: pytest.fail("the dataset loaded"))
+        args = sketch_args(out, command=command) + (GRID if command == "sweep" else [])
+        assert cli_main(args) == 1
+        assert f"error: --out {out}: {file} is not a directory" in capsys.readouterr().err
+        assert file.read_text() == "not a run\n"
+
 
 class TestProbeAndReport:
     @pytest.fixture
@@ -394,6 +416,24 @@ class TestProbeAndReport:
         assert "bogus" in capsys.readouterr().err
         assert stamps() == before
         assert not (run_dir / "pairs.txt").exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+    def test_report_out_naming_a_file_refused_before_any_write(self, run_dir, tmp_path, capsys, under):
+        file = tmp_path / "F"
+        file.write_text("not a directory\n")
+        out = file / under if under else file
+        before = {name: (run_dir / name).read_bytes() for name in ("metrics.csv", "phase.json")}
+        assert cli_main(["report", "--run", str(run_dir), "--out", str(out), "--delta", "3"]) == 1
+        assert f"error: --out {out}: {file} is not a directory" in capsys.readouterr().err
+        assert {name: (run_dir / name).read_bytes() for name in before} == before
+        assert file.read_text() == "not a directory\n"
+
+    def test_truncated_round_checkpoint_names_its_round(self, run_dir, capsys):
+        mask = run_dir / "round_001" / "mask.bin"
+        mask.write_bytes(mask.read_bytes()[:-3])
+        assert cli_main(["probe", "--run", str(run_dir)]) == 2
+        assert "runtime failure: round 1: truncated checkpoint" in capsys.readouterr().err
+        assert not (run_dir / "probes.json").exists()
 
     def test_report_mixed_datasets_refused_before_any_write(self, run_dir, tmp_path, capsys):
         other = tmp_path / "runs" / "q"
@@ -492,6 +532,7 @@ class TestProbeAndReport:
          "round 3: .* mistyped field 'epoch_train_loss'"),
         ("round_003/metrics.json", "report", ("config_hash",), "drop",
          "round 3: .* missing field 'config_hash'"),
+        ("probes.json", "report", (), ("set", {}), "the record is not a JSON list"),
     ])
     def test_malformed_record_names_file_and_field(self, run_dir, capsys, name, command, key, damage,
                                                    message):

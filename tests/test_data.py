@@ -1,6 +1,8 @@
 """Dataset ingestion: IDX parsing, blobs, label noise, splitting."""
 
+import dataclasses
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -10,6 +12,7 @@ from sparse_lab import (
     DatasetSpec,
     LabeledDataset,
     MlpArchitecture,
+    NoiseRecord,
     OptimizerState,
     TrainConfig,
     evaluate,
@@ -189,7 +192,7 @@ class TestInjectSymmetricNoise:
     def test_single_class_with_noise_rejected(self):
         ds = LabeledDataset(
             features=np.zeros((4, 2)), labels=np.zeros(4, dtype=int),
-            num_classes=1, name="one",
+            num_classes=1,
         )
         with pytest.raises(ValueError, match="2 classes"):
             inject_symmetric_noise(ds, 0.5, seed=1)
@@ -260,3 +263,36 @@ class TestSplit:
                 split(ds, fraction, seed=8)
             with pytest.raises(ConfigError, match="empty side"):
                 DatasetSpec(**spec)
+
+
+def _blobs():
+    return synth_blobs(3, 2, 4, 1.0, seed=0)  # N = 6, D = 4
+
+
+@pytest.mark.parametrize("refused, word", [
+    pytest.param(lambda _: NoiseRecord(1.5, (), (), 0), "epsilon", id="noise-epsilon"),
+    pytest.param(lambda _: NoiseRecord(0.5, (1, 2), (0,), 0), "align", id="noise-align"),
+    pytest.param(lambda _: NoiseRecord(0.5, (2, 1), (0, 0), 0), "sorted", id="noise-order"),
+    pytest.param(lambda _: dataclasses.replace(_blobs(), labels=np.zeros(5, int)), "aligned",
+                 id="dataset-labels-aligned"),
+    pytest.param(lambda _: dataclasses.replace(_blobs(), features=np.full((6, 4), np.nan)), "finite",
+                 id="dataset-finite"),
+    pytest.param(lambda _: dataclasses.replace(_blobs(), labels=np.full(6, 2)), "lie in",
+                 id="dataset-label-range"),
+    pytest.param(lambda p: load_idx(*write_idx_pair(p, np.zeros((2, 2, 2), np.uint8),
+                                                    np.zeros(2, np.uint8)), limit=0),
+                 "limit", id="load-idx-limit"),
+    pytest.param(lambda p: write_idx_pair(p, np.zeros((2, 4), np.uint8), np.zeros(2, np.uint8)),
+                 "rows, cols", id="save-idx-image-shape"),
+    pytest.param(lambda p: write_idx_pair(p, np.zeros((2, 2, 2), np.uint8), np.zeros(3, np.uint8)),
+                 "align", id="save-idx-labels"),
+    pytest.param(lambda p: export_idx(_blobs(), p / "i", p / "l", rows=3, cols=3), "rows*cols",
+                 id="export-idx-dim"),
+    pytest.param(lambda _: synth_blobs(0, 2, 4, 1.0, seed=0), "n_per_class", id="blobs-sizes"),
+    pytest.param(lambda _: inject_symmetric_noise(_blobs(), -0.1, seed=0), "epsilon",
+                 id="noise-injection-epsilon"),
+    pytest.param(lambda _: split(_blobs(), 1.0, seed=0), "train_fraction", id="split-fraction"),
+])
+def test_data_checks_refuse_bad_input(tmp_path, refused, word):
+    with pytest.raises(ValueError, match=re.escape(word)):
+        refused(tmp_path)

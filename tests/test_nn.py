@@ -324,7 +324,7 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             LabeledDataset(
                 features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int),
-                num_classes=2, name="empty",
+                num_classes=2,
             )
 
 
