@@ -20,8 +20,9 @@ records a zero of either sign reads back as +0.0.  Version-1 files, whose
 records carry no encoding byte or count and are all dense, still load.
 
 A read parses every header first, seeking past the payloads (all that
-``verify_tensors`` reads), then ``load_params`` lays out one ParamSet and
-decodes each payload once, into its entry's view of the buffer.
+``verify_tensors`` reads), then ``load_params`` lays out one ParamSet, or
+takes an existing one of the same layout, and decodes each payload once,
+into its entry's view of the buffer.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ def save_tensors(path: str | Path, tensors: Mapping[str, np.ndarray] | ParamSet)
     write_atomic(path, b"".join(parts))
 
 
-def _read(path: str | Path, decode: bool) -> ParamSet | None:
+def _read(path: str | Path, decode: bool, out: ParamSet | None = None) -> ParamSet | None:
     """Parse a checkpoint's headers, seeking past every payload, and with
-    ``decode`` lay out its ParamSet and decode each payload into its view."""
+    ``decode`` decode each payload into its view of ``out``, or of a new
+    ParamSet laid out as the file is."""
     path = Path(path)
     try:
         f = open(path, "rb")
@@ -133,9 +135,20 @@ def _read(path: str | Path, decode: bool) -> ParamSet | None:
         if not decode:
             return None
         shapes = [(name, shape) for name, (shape, *_) in records.items()]
-        params = ParamSet.on_buffer(np.empty(sum(math.prod(s) for _, s in shapes)), shapes)
+        if out is None:
+            params = ParamSet.on_buffer(np.empty(sum(math.prod(s) for _, s in shapes)), shapes)
+        elif out.shapes() != shapes:
+            raise CheckpointError(f"{path} holds tensors {shapes}, not the layout "
+                                  f"{out.shapes()} it is loaded into")
+        else:
+            params = out
         for name, (_, encoding, stored, offset) in records.items():
             _decode(f, path, name, encoding, stored, offset, params[name].reshape(-1))
+    if out is not None:
+        try:
+            out.check()
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
     return params
 
 
@@ -168,14 +181,18 @@ def _decode(f, path: Path, name: str, encoding: int, stored: int, offset: int, o
             part[bits] = np.frombuffer(f.read(8 * int(np.count_nonzero(bits))), dtype="<f8")
 
 
-def load_params(path: str | Path) -> ParamSet:
+def load_params(path: str | Path, out: ParamSet | None = None) -> ParamSet:
     """Rebuild a ParamSet from its names, shapes and values, in one read.
 
-    Every nonzero, NaN and infinite value comes back bit for bit.  A zero
-    stored in a sparse record, such as a pruned weight, comes back as +0.0
-    whatever its sign was when saved.
+    Given ``out``, the values are decoded straight into its buffer, which
+    must be laid out as the file is (the same names and shapes in the same
+    order), and ``out`` is checked (a ``Mask`` stays binary) and returned;
+    either failure is a CheckpointError naming the file.  Every nonzero,
+    NaN and infinite value comes back bit for bit.  A zero stored in a
+    sparse record, such as a pruned weight, comes back as +0.0 whatever its
+    sign was when saved.
     """
-    return _read(path, decode=True)
+    return _read(path, decode=True, out=out)
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:

@@ -218,10 +218,11 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         raise ConfigError(f"--probe-size must be at least 1, got {args.probe_size}")
     run_dir = _run_dir(args.run)
     cfg = sketch.read_config(run_dir)
-    _, test_set = sketch.load_dataset(cfg.dataset)
+    test_set = sketch.load_test_set(cfg.dataset)
     size = min(args.probe_size, test_set.size)
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.train.seed, "probe")))
     batch = test_set.features[np.sort(rng.choice(test_set.size, size=size, replace=False))]
+    del test_set  # the pass keeps only the batch, a copy of its rows
     results = probes.probe_along_run(run_dir, batch)
     probes.save_probes(run_dir, results)
     reporting.finalize_run_dir(reporting.load_run(run_dir), run_dir)

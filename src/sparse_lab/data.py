@@ -255,21 +255,26 @@ def train_count(n: int, train_fraction: float) -> int | None:
     return n_train if 1 <= n_train < n else None
 
 
-def split(
-    ds: LabeledDataset, train_fraction: float, seed: int
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Disjoint, exhaustive, seed-deterministic partition into train/test."""
+def split_indices(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted train and test row indices of a ``split`` of n samples."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    n = ds.size
     n_train = train_count(n, train_fraction)
     if n_train is None:
         raise ValueError(f"split of {n} samples at fraction {train_fraction} leaves an empty side")
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(n)
-    tr, te = np.sort(order[:n_train]), np.sort(order[n_train:])
+    return np.sort(order[:n_train]), np.sort(order[n_train:])
 
-    def take(idx: np.ndarray) -> LabeledDataset:
-        return LabeledDataset(features=ds.features[idx], labels=ds.labels[idx], num_classes=ds.num_classes)
 
-    return take(tr), take(te)
+def take(ds: LabeledDataset, idx: np.ndarray) -> LabeledDataset:
+    """The rows ``idx`` of ``ds`` as a new dataset, with no noise record."""
+    return LabeledDataset(features=ds.features[idx], labels=ds.labels[idx], num_classes=ds.num_classes)
+
+
+def split(
+    ds: LabeledDataset, train_fraction: float, seed: int
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """Disjoint, exhaustive, seed-deterministic partition into train/test."""
+    tr, te = split_indices(ds.size, train_fraction, seed)
+    return take(ds, tr), take(ds, te)

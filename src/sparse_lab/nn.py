@@ -90,6 +90,15 @@ class ParamSet:
             raise ValueError(f"need a contiguous float64 buffer of {start} entries, "
                              f"got {buffer.dtype} of shape {buffer.shape}")
         self.buffer = buffer  # the flat float64 buffer that every entry is a view of
+        self.check()
+
+    def check(self) -> None:
+        """Raise ValueError unless every value suits this kind of set.
+
+        Any float64 suits a ParamSet; a subclass such as ``pruning.Mask``
+        narrows it.  Run whenever a set is laid out, and by ``load_params``
+        after it decodes a file into an existing set.
+        """
 
     def offsets(self) -> list[tuple[str, int, int]]:
         """(name, start, stop) of every entry's positions in the buffer, in order."""
@@ -272,10 +281,7 @@ def forward_trace(
     (the logits for the final layer).  The masked weights are built once, by
     ``Step.layers``, before the layers run.
     """
-    step = Step(params, mask)
-    batch = _as_batch(batch)
-    step.lay_out(batch.shape[0])
-    return step.forward(step.layers(), batch)
+    return Step(params, mask).trace(batch)
 
 
 def _as_batch(batch: np.ndarray) -> np.ndarray:
@@ -395,6 +401,16 @@ class Step:
         self.post = [self._kept(f"post{i}", (rows, k)) for i, k in hidden] if keep_pre else self.pre[:-1]
         self.gate = [self._kept(f"gate{i}", (rows, k), bool) for i, k in hidden] if keep_pre else []
         self.dlogits = self._kept("dlogits", (rows, self.widths[-1]))
+
+    def trace(
+        self, batch: np.ndarray, keep_pre: bool = True
+    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """``forward_trace`` of ``batch`` through this step's params and mask,
+        in its kept buffers, which the next pass overwrites (see ``lay_out``
+        for ``keep_pre``)."""
+        batch = _as_batch(batch)
+        self.lay_out(batch.shape[0], keep_pre)
+        return self.forward(self.layers(), batch)
 
     def check_labels(self, labels: np.ndarray, n: int) -> None:
         """Raise ValueError unless ``labels`` are n >= 1 indices of the network's classes."""

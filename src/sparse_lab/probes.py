@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import ParamSet, Step, forward, forward_trace
+from .nn import ParamSet, Step, forward
 from .pruning import Mask
-from .rundir import ProbeResult, completed_rounds, read_config
+from .rundir import MASK, PARAMS, ProbeResult, completed_rounds, read_config
 from .rundir import load_probes, save_probes  # noqa: F401 - for the CLI and bench/tracer.py
-from .sketch import load_round_state
+from .sketch import load_round_file, load_round_state
 
 PROBE_BATCH_SIZE = 256
 # samples per stacked Jacobian GEMM in _amplification; bounds its temporaries
@@ -56,13 +56,13 @@ def amplification_check(params: ParamSet, batch: np.ndarray) -> list[float]:
     blocking may sum the products in another order, and the norms are added
     to the total one sample at a time, in sample order.
     """
-    _, pre, _ = forward_trace(params, None, batch)
-    return _amplification(params, pre)
+    full = Step(params, None)
+    _, pre, _ = full.trace(batch)
+    return _amplification(full.layers(), pre)
 
 
-def _amplification(params: ParamSet, pre: list[np.ndarray]) -> list[float]:
-    """``amplification_check`` from the unmasked pre-activations of a batch."""
-    layers = Step(params, None).layers()
+def _amplification(layers: list[tuple[np.ndarray, np.ndarray]], pre: list[np.ndarray]) -> list[float]:
+    """``amplification_check`` from the unmasked layers and pre-activations of a batch."""
     num_layers = len(layers)
     samples = pre[0].shape[0]
     if samples == 0:
@@ -89,13 +89,23 @@ def _amplification(params: ParamSet, pre: list[np.ndarray]) -> list[float]:
     return ratios
 
 
-def excess_output(params: ParamSet, mask: Mask, batch: np.ndarray) -> ProbeResult:
-    """Measure the output perturbation attached to a mask's removed weights."""
+def excess_output(
+    params: ParamSet, mask: Mask, batch: np.ndarray, steps: tuple[Step, Step] | None = None
+) -> ProbeResult:
+    """Measure the output perturbation attached to a mask's removed weights.
+
+    The unmasked and the masked pass run through ``steps``, an unmasked and
+    a masked ``Step`` of ``params``, which a caller probing many masks keeps
+    to reuse their buffers; without it a new pair is made.
+    """
     batch = np.asarray(batch, dtype=np.float64)
+    full, masked = (Step(params, None), Step(params, mask)) if steps is None else steps
+    if full.params is not params or masked.params is not params:
+        raise ValueError("the probe steps were not built for these parameters")
     # one unmasked pass serves the excess, the removed-weight products and the amplification
-    logits, pre, acts = forward_trace(params, None, batch)
-    amp = _amplification(params, pre)
-    diff = logits - forward(params, mask, batch)
+    logits, pre, acts = full.trace(batch)
+    amp = _amplification(full.layers(), pre)
+    diff = logits - masked.aim(mask).trace(batch, keep_pre=False)[0]
     y_exc_l1 = float(np.abs(diff).sum(axis=1).mean())
 
     weight_l1 = 0.0
@@ -107,10 +117,11 @@ def excess_output(params: ParamSet, mask: Mask, batch: np.ndarray) -> ProbeResul
         n_removed = int(removed.sum())
         if n_removed == 0:
             continue
-        weight_l1 += float(np.abs(w[removed]).sum())
+        w_abs = np.abs(w)
+        weight_l1 += float(w_abs[removed].sum())
+        w_abs *= removed  # |w| at the removed positions, 0 elsewhere
         # |w_ij * a_j| for each masked (i, j) and each sample
         a = np.abs(acts[layer_idx])  # [B, fan_in]
-        w_abs = np.abs(w) * removed
         prod_sum += float((a @ w_abs.T).sum())
         prod_count += n_removed * batch.shape[0]
 
@@ -129,16 +140,20 @@ def probe_along_run(run_dir: str | Path, probe_batch: np.ndarray) -> list[ProbeR
     Entry k pairs round k's trained (pre-rewind) parameters with round k+1's
     mask, so the measured excess is exactly the contribution of the weights
     the next pruning step removes.  A run with R pruned rounds yields R
-    results.  Each round is loaded once; its params carry to the next probe.
+    results.  The pass holds one params set, one mask and one pair of steps:
+    round k's mask is decoded into the mask, probed with round k-1's params,
+    and then round k's params are decoded over those.  Each round file is
+    read once.
     """
     cfg = read_config(run_dir)
     done = len(completed_rounds(run_dir, cfg.config_hash()))
     if done == 0:
         raise FileNotFoundError(f"no round checkpoints in {run_dir}")
     results: list[ProbeResult] = []
-    params, _ = load_round_state(run_dir, 0)
+    params, mask = load_round_state(run_dir, 0)
+    steps = (Step(params, None), Step(params, mask))
     for k in range(1, done):
-        next_params, next_mask = load_round_state(run_dir, k)
-        results.append(excess_output(params, next_mask, probe_batch))
-        params = next_params
+        load_round_file(run_dir, k, MASK, mask)
+        results.append(excess_output(params, mask, probe_batch, steps))
+        load_round_file(run_dir, k, PARAMS, params)
     return results

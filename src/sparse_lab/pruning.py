@@ -29,12 +29,12 @@ class Mask(ParamSet):
     """Binary (0.0/1.0) tensors over a ParamSet's prunable entries, in their order.
 
     A ParamSet like any other, whose every entry is checked to hold only 0.0
-    and 1.0 (-0.0 passes, NaN fails) whenever a Mask is laid out: built,
-    copied or re-laid over a loaded buffer with ``on_buffer``.
+    and 1.0 (-0.0 passes, NaN fails) whenever a Mask is laid out (built,
+    copied or re-laid over a loaded buffer with ``on_buffer``) or a file is
+    decoded into it with ``load_params(path, out=mask)``.
     """
 
-    def _lay_out(self, buffer: np.ndarray, shapes: list[tuple[str, tuple[int, ...]]]) -> None:
-        super()._lay_out(buffer, shapes)
+    def check(self) -> None:
         for name, arr in self._tensors.items():
             # every nonzero entry is 1.0; one bool temporary, no larger than the entry
             if np.count_nonzero(arr) != np.count_nonzero(arr == 1.0):

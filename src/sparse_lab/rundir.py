@@ -25,6 +25,7 @@ naming the file and the field, while a record's own check raises ConfigError.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -259,6 +260,13 @@ def _read_json(path: Path):
         raise CheckpointError(f"unreadable {path.stem} in {path} ({exc})") from exc
 
 
+@functools.cache
+def _record_fields(cls: type) -> tuple[dict, frozenset[str]]:
+    """The type hints of dataclass ``cls``'s fields and the names of those
+    whose default is None, resolved once per class."""
+    return typing.get_type_hints(cls), frozenset(f.name for f in fields(cls) if f.default is None)
+
+
 def _decode(value, hint, path: Path, where: str = ""):
     """JSON ``value`` checked against the type ``hint`` and built as one: a
     dataclass (or a plain object, given as a dict of key types) from an object
@@ -271,9 +279,8 @@ def _decode(value, hint, path: Path, where: str = ""):
     if is_dataclass(hint) or isinstance(hint, dict):
         if not isinstance(value, dict):
             raise CheckpointError(f"{path}: {where or 'the record'} is not a JSON object")
-        hints = hint if isinstance(hint, dict) else typing.get_type_hints(hint)
+        hints, may_lack = _record_fields(hint) if is_dataclass(hint) else (hint, ())
         prefix = f"{where}." if where else ""
-        may_lack = {f.name for f in fields(hint) if f.default is None} if is_dataclass(hint) else ()
         missing = [n for n in hints if n not in value and n not in may_lack]
         unexpected = [k for k in value if k not in hints]
         for what, keys in (("missing", missing), ("unexpected", unexpected)):

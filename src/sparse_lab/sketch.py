@@ -16,7 +16,8 @@ from pathlib import Path
 from . import reporting
 from .checkpoint import CheckpointError, load_params, save_params, save_tensors, verify_tensors
 from .checkpoint import load_tensors  # noqa: F401 - for bench/tracer.py
-from .data import LabeledDataset, inject_symmetric_noise, load_idx, split, synth_blobs
+from .data import (LabeledDataset, inject_symmetric_noise, load_idx, split, split_indices,
+                   synth_blobs, take)
 from .nn import OptimizerState, ParamSet, evaluate, init_params, train
 from .pruning import Mask, prune, rewind, sparsity
 from .reporting import detect_phases
@@ -45,20 +46,36 @@ def load_dataset(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     if spec.kind == "idx":
         return (load_idx(spec.train_images, spec.train_labels, limit=spec.limit),
                 load_idx(spec.test_images, spec.test_labels))
-    full = synth_blobs(
-        spec.n_per_class, spec.num_classes, spec.dim, spec.separation, spec.data_seed
-    )
-    return split(full, spec.train_fraction, derive_seed(spec.data_seed, "split"))
+    return split(_blobs(spec), spec.train_fraction, derive_seed(spec.data_seed, "split"))
+
+
+def load_test_set(spec: DatasetSpec) -> LabeledDataset:
+    """The clean test split of ``load_dataset``, without building the training
+    split: only the two test files of an idx spec are read."""
+    if spec.kind == "idx":
+        return load_idx(spec.test_images, spec.test_labels)
+    full = _blobs(spec)
+    _, test = split_indices(full.size, spec.train_fraction, derive_seed(spec.data_seed, "split"))
+    return take(full, test)
+
+
+def _blobs(spec: DatasetSpec) -> LabeledDataset:
+    return synth_blobs(spec.n_per_class, spec.num_classes, spec.dim, spec.separation, spec.data_seed)
+
+
+def load_round_file(run_dir: str | Path, k: int, name: str, out: ParamSet | None = None) -> ParamSet:
+    """Completed round k's ``PARAMS`` or ``MASK`` file, decoded once, into
+    ``out`` if given (see ``load_params``); a CheckpointError names the round."""
+    try:
+        return load_params(round_dir(run_dir, k) / name, out)
+    except CheckpointError as exc:
+        raise CheckpointError(f"round {k}: {exc}") from exc
 
 
 def load_round_state(run_dir: str | Path, k: int) -> tuple[ParamSet, Mask]:
     """Trained params and mask of completed round k, each decoded once into its buffer."""
-    d = round_dir(run_dir, k)
-    try:
-        params = load_params(d / PARAMS)
-        mask = load_params(d / MASK)
-    except CheckpointError as exc:
-        raise CheckpointError(f"round {k}: {exc}") from exc
+    params = load_round_file(run_dir, k, PARAMS)
+    mask = load_round_file(run_dir, k, MASK)
     return params, Mask.on_buffer(mask.buffer, mask.shapes())
 
 

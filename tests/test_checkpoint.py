@@ -16,6 +16,7 @@ from sparse_lab import (
     Mask,
     MlpArchitecture,
     OptimizerState,
+    ParamSet,
     PruneScope,
     SketchConfig,
     TrainConfig,
@@ -342,6 +343,60 @@ class TestLoadMemory:
             return Mask.on_buffer(loaded.buffer, loaded.shapes())
 
         assert traced_peak(load_mask, root / "mask.bin") <= 1.13 * decoded
+
+    @pytest.mark.parametrize("name", ["dense.bin", "sparse.bin", "mask.bin"])
+    def test_load_into_an_existing_set_lays_out_no_buffer(self, lenet, name):
+        root, params_bytes, mask_bytes = lenet
+        out, decoded = load_params(root / name), params_bytes
+        if name == "mask.bin":
+            out, decoded = Mask.on_buffer(out.buffer, out.shapes()), mask_bytes
+        # a bitmap and a block of unpacked bits, or a mask's check (a bool per
+        # entry of one tensor): at most one byte per value, never a second buffer
+        assert traced_peak(lambda path: load_params(path, out), root / name) <= decoded / 8
+
+
+class TestLoadInto:
+    """``load_params(path, out)`` decodes into a set laid out as the file is."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """Every codec case in one file, and a set of its layout holding other values."""
+        tensors = {name.replace(" ", "_"): arr for name, (arr, _) in CODEC_CASES.items()}
+        path = tmp_path / "all.bin"
+        save_tensors(path, tensors)
+        out = ParamSet(tensors)
+        out.buffer[...] = np.nan
+        return path, out
+
+    def test_values_equal_a_fresh_load_bit_for_bit(self, saved):
+        path, out = saved
+        buffer = out.buffer
+        assert load_params(path, out) is out
+        assert out.buffer is buffer
+        assert out.buffer.tobytes() == load_params(path).buffer.tobytes()
+
+    def test_another_layout_is_refused_naming_the_file(self, saved):
+        path, out = saved
+        shapes = out.shapes()
+        others = {
+            "shape": shapes[:-1] + [(shapes[-1][0], (2,))],
+            "order": shapes[1:] + shapes[:1],
+            "name": [("other", shapes[0][1])] + shapes[1:],
+            "fewer": shapes[:-1],
+        }
+        for what, layout in others.items():
+            other = ParamSet.on_buffer(np.full(sum(math.prod(s) for _, s in layout), 7.0), layout)
+            with pytest.raises(CheckpointError, match=f"{path} holds tensors .* not the layout"):
+                load_params(path, other)
+            assert (other.buffer == 7.0).all(), what  # refused before any value is decoded
+
+    def test_a_mask_file_holding_a_half_is_refused(self, tmp_path):
+        path = tmp_path / "mask.bin"
+        save_tensors(path, {"fc1.weight": np.array([[1.0, 0.5, 0.0]])})
+        with pytest.raises(CheckpointError, match=f"{path}: mask 'fc1.weight' must contain only"):
+            load_params(path, Mask({"fc1.weight": np.ones((1, 3))}))
+        # a plain ParamSet of the same layout takes any value
+        assert load_params(path, ParamSet({"fc1.weight": np.ones((1, 3))}))["fc1.weight"][0, 1] == 0.5
 
 
 class TestCodecCorruption:

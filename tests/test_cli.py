@@ -141,22 +141,31 @@ class TestSketchCommand:
         assert not (tmp_path / "x").exists()
 
     def test_idx_dataset_end_to_end(self, tmp_path):
-        rng = np.random.default_rng(0)
-        d = tmp_path / "data"
-        d.mkdir()
-        save_idx(rng.integers(0, 256, (60, 4, 4), dtype=np.uint8),
-                 rng.integers(0, 10, 60, dtype=np.uint8),
-                 d / "tri", d / "trl")
-        save_idx(rng.integers(0, 256, (20, 4, 4), dtype=np.uint8),
-                 rng.integers(0, 10, 20, dtype=np.uint8),
-                 d / "tei", d / "tel")
-        args = sketch_args(
-            tmp_path / "run", dataset="idx", arch="16,12,10", **{"t-end": "0.7"}
-        )
-        args.extend(["--train-images", str(d / "tri"), "--train-labels", str(d / "trl"),
-                     "--test-images", str(d / "tei"), "--test-labels", str(d / "tel")])
-        assert cli_main(args) == 0
+        assert cli_main(idx_sketch_args(tmp_path / "data", tmp_path / "run")) == 0
         assert (tmp_path / "run" / "metrics.csv").exists()
+
+    def test_probe_reads_only_the_test_files(self, tmp_path):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert cli_main(idx_sketch_args(data, run)) == 0
+        assert cli_main(["probe", "--run", str(run)]) == 0
+        probed = (run / "probes.json").read_bytes()
+        (data / "tri").unlink()
+        (data / "trl").unlink()
+        assert cli_main(["probe", "--run", str(run)]) == 0
+        assert (run / "probes.json").read_bytes() == probed
+
+
+def idx_sketch_args(data, out):
+    """sketch argv for a small random IDX dataset written under ``data``:
+    60 training images in ``tri``/``trl``, 20 test images in ``tei``/``tel``."""
+    rng = np.random.default_rng(0)
+    data.mkdir()
+    for n, images, labels in ((60, "tri", "trl"), (20, "tei", "tel")):
+        save_idx(rng.integers(0, 256, (n, 4, 4), dtype=np.uint8),
+                 rng.integers(0, 10, n, dtype=np.uint8), data / images, data / labels)
+    args = sketch_args(out, dataset="idx", arch="16,12,10", **{"t-end": "0.7"})
+    return args + ["--train-images", str(data / "tri"), "--train-labels", str(data / "trl"),
+                   "--test-images", str(data / "tei"), "--test-labels", str(data / "tel")]
 
 
 # sketch flags -> the config hash they must keep (existing run directories resume on it)

@@ -1,6 +1,7 @@
 """Excess-output probes and amplification checks."""
 
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,53 @@ class TestProbeAlongRun:
         direct = excess_output(params0, mask1, batch)
         assert series[0] == direct
 
+    def test_every_round_pairs_fresh_params_with_next_mask(self, tmp_path):
+        # the pass decodes every round into one params set and one mask, and
+        # runs through one pair of steps: state left in them would show here
+        cfg = SketchConfig(
+            run_id="shrinking",
+            arch=MlpArchitecture([6, 16, 12, 3]),
+            train=TrainConfig(epochs=1, lr=0.1, momentum=0.9, batch_size=16, seed=2),
+            dataset=DatasetSpec(kind="blobs", n_per_class=25, num_classes=3, dim=6,
+                                separation=3.0, data_seed=3),
+            t_iter=0.3, t_end=0.85,
+        )
+        run_dir = tmp_path / "run"
+        rounds = len(run_sketch(cfg, run_dir).rounds)
+        survivors = [load_round_state(run_dir, k)[1].surviving() for k in range(rounds)]
+        assert rounds >= 5 and all(a > b for a, b in zip(survivors, survivors[1:]))
+        batch = np.random.default_rng(15).standard_normal((40, 6))
+        series = probe_along_run(run_dir, batch)
+        assert len(series) == rounds - 1
+        for k in range(1, rounds):
+            params, _ = load_round_state(run_dir, k - 1)
+            _, mask = load_round_state(run_dir, k)
+            assert series[k - 1] == excess_output(params, mask, batch), f"round {k}"
+
+    def test_pass_peak_memory_is_one_round_state(self, tmp_path):
+        # LeNet shape at the CLI's batch size.  The pass holds the params and
+        # the mask (2 sets), the masked step's weights (1), the two steps' pass
+        # buffers (1.3) and one layer's removed-weight temporaries (2): 6.3
+        # sets.  A second round's params and mask held beside them exceed 6.5.
+        arch = MlpArchitecture([784, 300, 100, 10])
+        cfg = SketchConfig(
+            run_id="lenet-probe",
+            arch=arch,
+            train=TrainConfig(epochs=1, lr=0.1, momentum=0.9, batch_size=32, seed=1),
+            dataset=DatasetSpec(kind="blobs", n_per_class=4, num_classes=10, dim=784, data_seed=2),
+            t_iter=0.5, t_end=0.9,
+        )
+        run_dir = tmp_path / "run"
+        assert len(run_sketch(cfg, run_dir).rounds) >= 4
+        batch = np.random.default_rng(16).standard_normal((probes_mod.PROBE_BATCH_SIZE, 784))
+        tracemalloc.start()
+        try:
+            probe_along_run(run_dir, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 8 * arch.param_count()
+
     def test_reprobe_identical(self, finished_run):
         _, _, run_dir = finished_run
         batch = np.random.default_rng(13).standard_normal((8, 5))
@@ -190,9 +238,9 @@ class TestProbeAlongRun:
         assert len(run.rounds) >= 3
         reads = []
         for name in ("load_params", "load_tensors"):
-            def counting(path, _load=getattr(sketch_mod, name)):
+            def counting(path, *args, _load=getattr(sketch_mod, name), **kwargs):
                 reads.append(Path(path))
-                return _load(path)
+                return _load(path, *args, **kwargs)
             monkeypatch.setattr(sketch_mod, name, counting)
         probe_along_run(run_dir, np.random.default_rng(14).standard_normal((4, 5)))
         assert reads

@@ -75,6 +75,17 @@ def curve_run(accs, delta_cfg=None):
     return SketchRun(config=cfg, rounds=rounds)
 
 
+@pytest.mark.parametrize("n_per_class,train_fraction", [(30, 0.8), (7, 0.35), (1, 0.5)])
+def test_load_test_set_is_the_test_split_of_load_dataset(n_per_class, train_fraction):
+    spec = DatasetSpec(kind="blobs", n_per_class=n_per_class, num_classes=3, dim=5,
+                       train_fraction=train_fraction, data_seed=4)
+    _, expected = sketch_mod.load_dataset(spec)
+    alone = sketch_mod.load_test_set(spec)
+    assert alone.features.tobytes() == expected.features.tobytes()
+    assert alone.labels.tolist() == expected.labels.tolist()
+    assert (alone.num_classes, alone.noise) == (expected.num_classes, None)
+
+
 class TestRunSketch:
     def test_single_pruned_round_when_first_prune_crosses_t_end(self, tmp_path):
         run = run_sketch(tiny_config(t_iter=0.5, t_end=0.3), tmp_path / "r")
