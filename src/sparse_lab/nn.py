@@ -232,9 +232,11 @@ class OptimizerState:
     ``velocity`` and ``grads`` are ParamSets laid out like ``params``, each on
     its own buffer, allocated here, once per run.  ``train`` writes each
     step's gradients into ``grads``, and ``sgd_step`` updates from there, so a
-    step allocates no parameter-sized array.  The run's ``Step`` is kept here too
-    (``step_for``), so that the rounds of a run and their evaluations reuse
-    its buffers instead of allocating and freeing them per call.
+    step allocates no parameter-sized array.  ``evaluate`` given the state
+    builds its masked weights in ``grads`` too, since every step overwrites
+    them before reading.  The run's ``Step`` is kept here too (``step_for``),
+    so that the rounds of a run and their evaluations reuse its buffers
+    instead of allocating and freeing them per call.
     """
 
     def __init__(self, params: ParamSet) -> None:
@@ -381,13 +383,15 @@ class Step:
         self.scratch = self._kept("decay", self.params.buffer.shape) if cfg.weight_decay else None
         return self
 
-    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer (weight, bias), each masked weight ``w * mask`` in a kept buffer."""
+    def layers(self, into: ParamSet | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weight, bias), each masked weight ``w * mask`` in its
+        entry of ``into`` (laid out like the params), or else in a kept buffer."""
         out = []
         for wname, bname in self.pairs:
             w = self.params[wname]
             if self.mask is not None and wname in self.mask:
-                w = np.multiply(w, self.mask[wname], out=self._kept(wname, w.shape))
+                dest = self._kept(wname, w.shape) if into is None else into[wname]
+                w = np.multiply(w, self.mask[wname], out=dest)
             out.append((w, self.params[bname]))
         return out
 
@@ -627,14 +631,15 @@ def evaluate(
     Argmax ties resolve to the lowest class index.  No shuffling; samples are
     visited in storage order in fixed-size chunks.  The masked weights and
     the buffers of the forward pass are built once per call and shared by
-    every chunk; given the run's ``state``, they are those of its ``Step``,
-    kept for the run.
+    every chunk.  Given the run's ``state``, the pass buffers are those of
+    its ``Step``, kept for the run, and the masked weights are built in
+    ``state.grads``, which every training step overwrites before reading.
     """
     n = dataset.features.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     step = Step(params, mask) if state is None else state.step_for(params, mask)
-    layers = step.layers()
+    layers = step.layers(None if state is None else state.grads)
     step.lay_out(min(chunk_size, n), keep_pre=False)
     offsets = np.arange(min(chunk_size, n)) * step.widths[-1]  # flat index of each row's first logit
     total_loss = 0.0

@@ -25,7 +25,7 @@ from .nn import ParamSet, Step, forward
 from .pruning import Mask
 from .rundir import MASK, PARAMS, ProbeResult, completed_rounds, read_config
 from .rundir import load_probes, save_probes  # noqa: F401 - for the CLI and bench/tracer.py
-from .sketch import load_round_file, load_round_state
+from .sketch import load_round_file
 
 PROBE_BATCH_SIZE = 256
 # samples per stacked Jacobian GEMM in _amplification; bounds its temporaries
@@ -142,18 +142,21 @@ def probe_along_run(run_dir: str | Path, probe_batch: np.ndarray) -> list[ProbeR
     the next pruning step removes.  A run with R pruned rounds yields R
     results.  The pass holds one params set, one mask and one pair of steps:
     round k's mask is decoded into the mask, probed with round k-1's params,
-    and then round k's params are decoded over those.  Each round file is
-    read once.
+    and then round k's params are decoded over those.  It reads only what a
+    probe uses, each file once: the params of rounds 0..R-1 and the masks of
+    rounds 1..R.  The mask is laid out from round 0's params.
     """
     cfg = read_config(run_dir)
     done = len(completed_rounds(run_dir, cfg.config_hash()))
     if done == 0:
         raise FileNotFoundError(f"no round checkpoints in {run_dir}")
     results: list[ProbeResult] = []
-    params, mask = load_round_state(run_dir, 0)
+    params = load_round_file(run_dir, 0, PARAMS)
+    mask = Mask.full(params)
     steps = (Step(params, None), Step(params, mask))
     for k in range(1, done):
         load_round_file(run_dir, k, MASK, mask)
         results.append(excess_output(params, mask, probe_batch, steps))
-        load_round_file(run_dir, k, PARAMS, params)
+        if k < done - 1:
+            load_round_file(run_dir, k, PARAMS, params)
     return results

@@ -65,7 +65,8 @@ def prune(params: ParamSet, mask: Mask, t_iter: float, scope: PruneScope) -> Mas
     floor(t_iter * its_surviving_count) weights; under GLOBAL the same floor
     applies once to the total surviving count and the smallest magnitudes are
     taken across all tensors.  Ties break by (layer order, flat index)
-    ascending.  The result is monotone with respect to the input mask.
+    ascending.  The result is a new Mask, monotone with respect to the
+    input mask, which is left untouched.
     """
     if not 0.0 < t_iter < 1.0:
         raise ValueError("t_iter must be in (0, 1)")
@@ -75,43 +76,62 @@ def prune(params: ParamSet, mask: Mask, t_iter: float, scope: PruneScope) -> Mas
     if mask.surviving() == 0:
         raise ValueError("mask exhausted: no surviving weights left to prune")
 
+    # (flat weight, byte mask of its survivors) of each layer, ranked per layer or all at once
+    layers = [(params[n].reshape(-1), mask[n].reshape(-1) != 0.0) for n in names]
+    groups = [[layer] for layer in layers] if scope is PruneScope.LAYERWISE else [layers]
+    chosen = [c for group in groups for c in _smallest(group, t_iter)]
+    # the selection is made: only now is the mask copied
     new_mask = mask.copy()
-    flat = [new_mask[name].reshape(-1) for name in names]
-    if scope is PruneScope.LAYERWISE:
-        for name, m in zip(names, flat):
-            alive, mags = _surviving_magnitudes(params[name], m)
-            k = int(np.floor(t_iter * alive.size))
-            if k > 0:
-                m[alive[_smallest(mags, k)]] = 0.0
-    else:
-        alive, mags = zip(*(_surviving_magnitudes(params[n], m) for n, m in zip(names, flat)))
-        # concatenated in layer order, flat index ascending within a layer
-        mag = np.concatenate(mags)
-        k = int(np.floor(t_iter * mag.size))
-        if k > 0:
-            chosen = np.split(_smallest(mag, k), np.cumsum([a.size for a in alive])[:-1])
-            for m, a, part in zip(flat, alive, chosen):
-                m[a[part]] = 0.0
+    for name, c in zip(names, chosen):
+        if c is not None:
+            new_mask[name].reshape(-1)[c] = 0.0
     return new_mask
 
 
-def _surviving_magnitudes(w: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the survivors of flat mask ``m``, ascending, and |w| there."""
-    alive = np.flatnonzero(m)
-    mags = w.reshape(-1).take(alive)
-    return alive, np.abs(mags, out=mags)
+_BLOCK = 1 << 16  # weights gathered per step into the magnitudes, to bound the temporary
 
 
-def _smallest(values: np.ndarray, k: int) -> np.ndarray:
-    """Boolean selection of the k smallest of ``values``, found by partition;
-    ties at the k-th value go to the earliest positions, as in a stable sort,
-    and NaNs sort last."""
-    kth = np.partition(values, k - 1)[k - 1]
-    if np.isnan(kth):
-        chosen, at_kth = ~np.isnan(values), np.isnan(values)
-    else:
-        chosen, at_kth = values < kth, values == kth
-    chosen[np.flatnonzero(at_kth)[: k - np.count_nonzero(chosen)]] = True
+def _smallest(layers: list[tuple[np.ndarray, np.ndarray]], t_iter: float) -> list[np.ndarray | None]:
+    """Byte masks of the k = floor(t_iter * survivors) smallest |w| among the
+    survivors of (flat weight, byte mask of survivors) pairs, or Nones when k
+    is 0.  The k-th magnitude comes from an in-place partition of one array
+    of the survivors' magnitudes.  Ties at it go to the earliest (layer, flat
+    index), as in a stable sort, and NaNs sort last."""
+    counts = [np.count_nonzero(alive) for _, alive in layers]
+    k = int(np.floor(t_iter * sum(counts)))
+    if k == 0:
+        return [None] * len(layers)
+    mags = np.empty(sum(counts))
+    filled = 0
+    for w, alive in layers:
+        # boolean indexing by blocks bounds the temporary; np.compress would add an index array
+        for start in range(0, w.size, _BLOCK):
+            part = w[start : start + _BLOCK][alive[start : start + _BLOCK]]
+            mags[filled : filled + part.size] = part
+            filled += part.size
+    np.abs(mags, out=mags)
+    mags.partition(k - 1)
+    kth = mags[k - 1]
+    del mags  # freed before prune copies the mask
+    chosen, ties = [], []
+    for w, alive in layers:
+        if np.isnan(kth):  # fewer than k survivors are not NaN
+            at = np.isnan(w)
+            below = ~at
+        else:  # |w| < kth and |w| == kth, with no |w| temporary
+            below = np.less(w, kth)
+            below &= np.greater(w, -kth)
+            at = np.equal(w, kth)
+            at |= np.equal(w, -kth)
+        below &= alive
+        at &= alive
+        chosen.append(below)
+        ties.append(at)
+    need = k - sum(np.count_nonzero(c) for c in chosen)
+    for c, at in zip(chosen, ties):
+        taken = np.flatnonzero(at)[:need]
+        c[taken] = True
+        need -= taken.size
     return chosen
 
 
@@ -120,12 +140,14 @@ def rewind(params: ParamSet, init: ParamSet, mask: Mask, state: OptimizerState) 
 
     Masked-out weights become exactly 0, and the optimizer state is cleared:
     retraining starts from the original initialization with a fresh optimizer.
-    Raises ValueError unless ``params`` and ``init`` have the same names and
-    shapes in the same order.
+    ``init`` may be ``params`` itself, already holding the initialization,
+    as after ``load_params(init_path, out=params)``.  Raises ValueError
+    unless ``params`` and ``init`` have the same names and shapes in the
+    same order.
     """
     if params.shapes() != init.shapes():
         raise ValueError(f"layout mismatch: params are {params.shapes()}, init is {init.shapes()}")
-    params.buffer[...] = init.buffer
+    params.buffer[...] = init.buffer  # numpy skips the copy when init is params
     for name in mask:
         params[name] *= mask[name]
     state.reset()

@@ -5,7 +5,7 @@ directory scheme and how a file gets written::
 
     config.json      the SketchConfig and its hash (checked on resume)
     manifest.json    RunManifest: provenance and start/finish times
-    init.bin         the frozen initialization used for rewinding
+    init.bin         the frozen initialization, read back at every rewind
     round_NNN/       params.bin, mask.bin, then metrics.json
     metrics.csv      one row per round
     probes.json      one ProbeResult per pruned round

@@ -102,8 +102,9 @@ def amplification_reference(params: ParamSet, pre: list[np.ndarray]) -> list[flo
 
 
 def equals_bitwise(a: ParamSet, b: ParamSet) -> bool:
-    """Same names and shapes in the same order, and equal values with NaNs equal."""
-    return a.shapes() == b.shapes() and np.array_equal(a.buffer, b.buffer, equal_nan=True)
+    """Same names and shapes in the same order, and the same bit pattern in
+    every value: +0.0 differs from -0.0, and a NaN only equals its own payload."""
+    return a.shapes() == b.shapes() and np.array_equal(a.buffer.view(np.uint64), b.buffer.view(np.uint64))
 
 
 def is_subset_of(mask: Mask, other: Mask) -> bool:

@@ -136,24 +136,25 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
     # test purity: label noise only ever touches the training split
     assert test_set.noise is None
 
+    # the run holds no copy of the initialization: round 0 trains the drawn
+    # set itself, and every rewind decodes init.bin into params
     init_path = run_dir / INIT
     if init_path.exists():
-        init = load_params(init_path)
-        if init.shapes() != cfg.arch.param_shapes():
+        params = load_params(init_path)
+        if params.shapes() != cfg.arch.param_shapes():
             raise CheckpointError(
-                f"{init_path} holds tensors {init.shapes()}, not the initialization "
+                f"{init_path} holds tensors {params.shapes()}, not the initialization "
                 f"of architecture {list(cfg.arch.layer_sizes)}"
             )
     else:
-        init = init_params(cfg.arch, cfg.train.seed)
-        save_params(init_path, init)
+        params = init_params(cfg.arch, cfg.train.seed)
+        save_params(init_path, params)
 
     discard_partial_round(run_dir, done_before)
+    mask = Mask.full(params)
     if rounds:
-        params, mask = load_round_state(run_dir, len(rounds) - 1)
-    else:
-        params = init.copy()
-        mask = Mask.full(params)
+        load_round_file(run_dir, len(rounds) - 1, PARAMS, params)
+        load_round_file(run_dir, len(rounds) - 1, MASK, mask)
 
     state = OptimizerState(params)
 
@@ -168,7 +169,8 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
                     f"no weights from {mask.surviving()} survivors"
                 )
             mask = new_mask
-            rewind(params, init, mask, state)
+            load_params(init_path, out=params)  # the rewind target is the stored file
+            rewind(params, params, mask, state)
         history = train(params, mask, state, train_noisy, cfg.train)
         train_loss, train_acc = evaluate(params, mask, train_noisy, state=state)
         test_loss, test_acc = evaluate(params, mask, test_set, state=state)

@@ -80,6 +80,17 @@ class TestInitParams:
         b = init_params(MlpArchitecture([3, 4, 2]), seed=100)
         assert not equals_bitwise(a, b)
 
+    def test_equals_bitwise_compares_bit_patterns(self):
+        def one(values):
+            return ParamSet({"fc1.weight": np.array(values, dtype=np.float64)})
+
+        assert not equals_bitwise(one([0.0, 1.0]), one([-0.0, 1.0]))
+        nan = np.uint64(0x7FF8000000000000).view(np.float64)
+        other_nan = np.uint64(0x7FF8000000000001).view(np.float64)
+        assert np.isnan(nan) and np.isnan(other_nan)
+        assert not equals_bitwise(one([nan, 1.0]), one([other_nan, 1.0]))
+        assert equals_bitwise(one([other_nan, 1.0]), one([other_nan, 1.0]))
+
     def test_lenet_300_100_param_count(self):
         # 784*300+300 + 300*100+100 + 100*10+10
         params = init_params(MlpArchitecture([784, 300, 100, 10]), seed=0)

@@ -243,8 +243,12 @@ class TestProbeAlongRun:
                 return _load(path, *args, **kwargs)
             monkeypatch.setattr(sketch_mod, name, counting)
         probe_along_run(run_dir, np.random.default_rng(14).standard_normal((4, 5)))
-        assert reads
+        # only what a probe uses: masks 1..R-1 and params 0..R-2 of R rounds
+        last = len(run.rounds) - 1
+        expected = {run_dir / f"round_{k:03d}" / "mask.bin" for k in range(1, last + 1)}
+        expected |= {run_dir / f"round_{k:03d}" / "params.bin" for k in range(last)}
         assert len(reads) == len(set(reads))
+        assert set(reads) == expected
 
     def test_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

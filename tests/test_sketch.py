@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from sparse_lab import (
     cli_main,
     detect_phases,
     init_params,
+    load_dataset,
     load_run,
     probe_along_run,
     resume,
@@ -155,6 +157,44 @@ class TestRunSketch:
         # stored test metrics come from the untouched test split
         loss_test, acc_test = evaluate(params, mask, test_set)
         assert (loss_test, acc_test) == (dense.test_loss, dense.test_acc)
+
+    def test_rounds_hold_each_parameter_sized_array_once(self, tmp_path):
+        # paper-shaped layers, a few small rounds: the peak falls in round 1's prune
+        cfg = SketchConfig(
+            run_id="lenet",
+            arch=MlpArchitecture([784, 300, 100, 10]),
+            train=TrainConfig(epochs=1, lr=0.05, batch_size=64, seed=3),
+            dataset=DatasetSpec(kind="blobs", n_per_class=20, num_classes=10, dim=784,
+                                separation=3.0, data_seed=4),
+            t_iter=0.5,
+            t_end=0.7,
+        )
+        data_bytes = sum(a.nbytes for ds in load_dataset(cfg.dataset) for a in (ds.features, ds.labels))
+        param_bytes = 8 * cfg.arch.param_count()
+        tracemalloc.start()
+        try:
+            run = run_sketch(cfg, tmp_path / "r")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.rounds) == 3
+        # params, velocity, gradient scratch and mask, with room for one more set
+        # of prune's survivor magnitudes and new mask, and for the pass buffers;
+        # a resident copy of init, kept masked weights or a copy of the mask
+        # made before the selection would each add a whole set
+        assert peak <= data_bytes + 7 * param_bytes
+
+    def test_truncated_init_stops_the_next_rewind(self, tmp_path):
+        run_dir = tmp_path / "r"
+        init = run_dir / "init.bin"
+
+        def truncate_after_round_0(metrics):
+            if metrics.round == 0:
+                init.write_bytes(init.read_bytes()[:-8])
+
+        with pytest.raises(CheckpointError, match="init.bin"):
+            run_sketch(tiny_config(), run_dir, on_round=truncate_after_round_0)
+        assert len(completed_rounds(run_dir, tiny_config().config_hash())) == 1
 
 
 class TestDetectPhases:
