@@ -78,10 +78,12 @@ def save_tensors(path: str | Path, tensors: Mapping[str, np.ndarray] | ParamSet)
     write_atomic(path, b"".join(parts))
 
 
-def _read(path: str | Path, decode: bool, out: ParamSet | None = None) -> ParamSet | None:
+def _read(
+    path: str | Path, decode: bool, out: ParamSet | None = None
+) -> ParamSet | list[tuple[str, tuple[int, ...]]]:
     """Parse a checkpoint's headers, seeking past every payload, and with
     ``decode`` decode each payload into its view of ``out``, or of a new
-    ParamSet laid out as the file is."""
+    ParamSet laid out as the file is; without it, return that layout."""
     path = Path(path)
     try:
         f = open(path, "rb")
@@ -132,9 +134,9 @@ def _read(path: str | Path, decode: bool, out: ParamSet | None = None) -> ParamS
                     take(8 * stored, f"values of {name!r}", skip=True)
         if f.tell() != size:
             raise CheckpointError(f"trailing bytes in checkpoint {path}")
-        if not decode:
-            return None
         shapes = [(name, shape) for name, (shape, *_) in records.items()]
+        if not decode:
+            return shapes
         if out is None:
             params = ParamSet.on_buffer(np.empty(sum(math.prod(s) for _, s in shapes)), shapes)
         elif out.shapes() != shapes:
@@ -201,9 +203,11 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     return {name: params[name] for name in params}
 
 
-def verify_tensors(path: str | Path) -> None:
-    """Raise CheckpointError unless the file parses as a checkpoint; payloads are not read."""
-    _read(path, decode=False)
+def verify_tensors(path: str | Path) -> list[tuple[str, tuple[int, ...]]]:
+    """Raise CheckpointError unless the file parses as a checkpoint, else
+    return its layout, the (name, shape) of each tensor in file order; payloads
+    are not read."""
+    return _read(path, decode=False)
 
 
 def save_params(path: str | Path, params: ParamSet) -> None:

@@ -10,9 +10,13 @@ products are, and whether any downstream layer can amplify an injected
 unit-L1 activation perturbation.
 
 The amplification Jacobians are built as stacked per-sample GEMMs over
-fixed chunks of samples, with no Python loop over the samples.  Two rules
+fixed chunks of samples, with no Python loop over the samples.  Three rules
 keep the bits of the per-sample reference in ``selftest``: never flatten a
-chunk's stack into one GEMM, and add the per-sample norms in sample order.
+chunk's stack into one GEMM, add the per-sample norms in sample order, and
+build one Jacobian per group of samples whose gates agree at every column of
+a gated weight that holds an entry ``!= 0.0``.  At an all-zero column either
+gate value gives the same product bits, so a group's samples feed the same
+operands, in the same shapes, to every GEMM of the chain.
 """
 
 from __future__ import annotations
@@ -54,7 +58,15 @@ def amplification_check(params: ParamSet, batch: np.ndarray) -> list[float]:
     keep the result bit for bit that of ``selftest.amplification_reference``:
     the stack is never flattened into one (chunk * out, k) GEMM, whose BLAS
     blocking may sum the products in another order, and the norms are added
-    to the total one sample at a time, in sample order.
+    to the total one sample at a time, in sample order.  A third saves work
+    without moving a bit: the Jacobian is built once per group of samples
+    whose gates agree at every column of each gated weight that holds an
+    entry ``!= 0.0`` (a NaN counts), and each sample takes its group's norm.
+    A column of ±0.0 entries times a gate of 0 or 1 keeps its bits, so the
+    samples of a group feed bitwise-equal operands of the same shapes to
+    every GEMM, and get equal Jacobians.  Only the set of samples shrinks:
+    compacting a GEMM's operands instead changes its shape, and with it the
+    summation order.
     """
     full = Step(params, None)
     _, pre, _ = full.trace(batch)
@@ -73,20 +85,52 @@ def _amplification(layers: list[tuple[np.ndarray, np.ndarray]], pre: list[np.nda
             # no ReLU between this layer and the output: one Jacobian for all samples
             norms = [float(np.abs(layers[-1][0]).sum(axis=0).max())] * samples
         else:
+            representatives, inverse = _gate_groups(layers, pre, hidden)
+            grouped = len(representatives) < samples  # else every sample is its own group
             norms = []
-            for start in range(0, samples, AMPLIFICATION_CHUNK):
+            for start in range(0, len(representatives), AMPLIFICATION_CHUNK):
+                end = start + AMPLIFICATION_CHUNK
+                rows = representatives[start:end] if grouped else slice(start, end)
                 jac = layers[hidden + 1][0]
                 for m in range(hidden + 2, num_layers):
-                    gate = (pre[m - 1][start:start + AMPLIFICATION_CHUNK] > 0.0).astype(np.float64)
+                    gate = (pre[m - 1][rows] > 0.0).astype(np.float64)
                     # the gate zeroes the columns of W_m, not the rows of jac: same products
                     jac = np.matmul(layers[m][0] * gate[:, None, :], jac)
                 np.abs(jac, out=jac)
                 norms.extend(jac.sum(axis=1).max(axis=1).tolist())
+            if grouped:
+                norms = [norms[group] for group in inverse]
         total = 0.0
         for norm in norms:  # in sample order, as the reference sums them
             total += norm
         ratios.append(total / samples)
     return ratios
+
+
+def _gate_groups(
+    layers: list[tuple[np.ndarray, np.ndarray]], pre: list[np.ndarray], hidden: int
+) -> tuple[np.ndarray, list[int]]:
+    """Group the samples whose Jacobians of hidden layer ``hidden`` are equal.
+
+    A sample's key is its gates at the columns of each gated weight W_m of
+    the chain (m = hidden+2 .. L-1) that hold an entry ``!= 0.0``; a NaN
+    counts as nonzero.  Returns (representatives, inverse): the first sample
+    of each group, in sample order, and each sample's group index.
+    """
+    bits = np.concatenate(
+        [(pre[m - 1] > 0.0) & (layers[m][0] != 0.0).any(axis=0) for m in range(hidden + 2, len(layers))],
+        axis=1,
+    )  # a gate at an all-zero column reads False for every sample
+    packed = np.packbits(bits, axis=1)
+    groups: dict[bytes, int] = {}
+    representatives: list[int] = []
+    inverse: list[int] = []
+    for sample, key in enumerate(packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()):
+        group = groups.setdefault(key, len(representatives))
+        if group == len(representatives):
+            representatives.append(sample)
+        inverse.append(group)
+    return np.array(representatives, dtype=np.intp), inverse
 
 
 def excess_output(

@@ -13,6 +13,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import reporting
 from .checkpoint import CheckpointError, load_params, save_params, save_tensors, verify_tensors
 from .checkpoint import load_tensors  # noqa: F401 - for bench/tracer.py
@@ -140,12 +142,17 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
     # set itself, and every rewind decodes init.bin into params
     init_path = run_dir / INIT
     if init_path.exists():
-        params = load_params(init_path)
-        if params.shapes() != cfg.arch.param_shapes():
+        layout = verify_tensors(init_path)  # from the headers alone
+        if layout != cfg.arch.param_shapes():
             raise CheckpointError(
-                f"{init_path} holds tensors {params.shapes()}, not the initialization "
+                f"{init_path} holds tensors {layout}, not the initialization "
                 f"of architecture {list(cfg.arch.layer_sizes)}"
             )
+        # past round 0 the last round's params are decoded into the set below
+        if rounds:
+            params = ParamSet.on_buffer(np.empty(cfg.arch.param_count()), layout)
+        else:
+            params = load_params(init_path)
     else:
         params = init_params(cfg.arch, cfg.train.seed)
         save_params(init_path, params)

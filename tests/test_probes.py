@@ -25,7 +25,7 @@ from sparse_lab import (
     probe_along_run,
     run_sketch,
 )
-from sparse_lab.nn import forward_trace
+from sparse_lab.nn import Step, forward_trace
 from sparse_lab.selftest import amplification_reference
 from sparse_lab.sketch import load_dataset, load_round_state
 
@@ -301,6 +301,28 @@ def test_probe_files_match_golden_digest(tmp_path):
     assert digest.hexdigest() == GOLDEN_PROBE_SHA256
 
 
+def test_golden_probes_share_jacobians_in_late_rounds(tmp_path, monkeypatch):
+    # the digest above covers the grouped path: the last probed round of each
+    # run builds fewer Jacobians than it has samples, for every hidden layer
+    calls = []
+    real = probes_mod._gate_groups
+
+    def recording(layers, pre, hidden):
+        representatives, inverse = real(layers, pre, hidden)
+        calls.append((len(representatives), len(inverse)))
+        return representatives, inverse
+
+    monkeypatch.setattr(probes_mod, "_gate_groups", recording)
+    for cfg in golden_probe_configs():
+        run_dir = tmp_path / cfg.run_id
+        rounds = len(run_sketch(cfg, run_dir).rounds)
+        calls.clear()
+        assert cli_main(["probe", "--run", str(run_dir), "--probe-size", "37"]) == 0
+        gated = len(cfg.arch.layer_sizes) - 3  # hidden layers with a gate in their chain
+        assert len(calls) == gated * (rounds - 1)
+        assert all(groups < samples == 37 for groups, samples in calls[-gated:])
+
+
 def hexes(values):
     return [float.hex(v) for v in values]
 
@@ -348,3 +370,81 @@ class TestStackedAmplification:
         batch = np.random.default_rng(samples).standard_normal((samples, 5))
         ratios = assert_matches_reference(params, batch)
         assert ratios[0] > 0.0
+
+    NETS = ([6, 9, 7, 4], [6, 16, 12, 8, 3], [7, 10, 9, 8, 6, 4])
+
+    @pytest.mark.parametrize("rows", [1, 2], ids=["one row", "two rows alternating"])
+    @pytest.mark.parametrize("sizes", NETS, ids=["2 hidden", "3 hidden", "4 hidden"])
+    @pytest.mark.parametrize("samples", SIZES)
+    def test_repeated_rows_share_a_jacobian(self, sizes, samples, rows):
+        params = init_params(MlpArchitecture(sizes), len(sizes) * 100 + samples)
+        distinct = np.random.default_rng(samples).standard_normal((rows, sizes[0]))
+        batch = distinct[np.arange(samples) % rows]
+        assert_matches_reference(params, batch)
+        _, pre, _ = forward_trace(params, None, batch)
+        layers = Step(params, None).layers()
+        for hidden in range(len(sizes) - 3):
+            representatives, inverse = probes_mod._gate_groups(layers, pre, hidden)
+            assert len(representatives) <= min(rows, samples)
+            assert [representatives[g] for g in inverse] == [s % len(representatives) for s in range(samples)]
+
+    def zero_column_net(self):
+        # 4-6-5-4-3: fc3 has a -0.0 and a +0.0 column, fc4 a +0.0 column
+        params = init_params(MlpArchitecture([4, 6, 5, 4, 3]), 9)
+        params["fc3.weight"][:, 3] = -0.0
+        params["fc3.weight"][:, 4] = 0.0
+        params["fc4.weight"][:, 1] = 0.0
+        return params
+
+    def gate_flips(self, samples):
+        """Pre-activations whose gates differ only where a column is zeroed,
+        except that every fourth sample also flips a live gate of layer 2."""
+        rng = np.random.default_rng(samples)
+        pre = [rng.standard_normal((samples, width)) for width in (6, 5, 4, 3)]
+        base = pre[1][0].copy(), pre[2][0].copy()
+        for s in range(samples):
+            pre[1][s], pre[2][s] = base
+            if s % 4 == 1:
+                pre[1][s, 3] *= -1.0
+            if s % 4 == 2:
+                pre[1][s, 4] *= -1.0
+                pre[2][s, 1] *= -1.0
+            if s % 4 == 3:
+                pre[1][s, 0] *= -1.0
+        return pre
+
+    @pytest.mark.parametrize("samples", SIZES)
+    def test_gates_at_zero_columns_do_not_split_a_group(self, samples):
+        params = self.zero_column_net()
+        pre = self.gate_flips(samples)
+        layers = Step(params, None).layers()
+        got = probes_mod._amplification(layers, pre)
+        assert hexes(got) == hexes(amplification_reference(params, pre))
+        representatives, inverse = probes_mod._gate_groups(layers, pre, 0)
+        assert list(representatives) == ([0, 3] if samples > 3 else [0])
+        assert inverse == [int(s % 4 == 3) for s in range(samples)]
+        assert list(probes_mod._gate_groups(layers, pre, 1)[0]) == [0]
+
+    @pytest.mark.parametrize("samples", SIZES)
+    def test_a_nan_column_keeps_its_gate_in_the_key(self, samples):
+        params = self.zero_column_net()
+        params["fc3.weight"][2, 4] = np.nan
+        pre = self.gate_flips(samples)
+        layers = Step(params, None).layers()
+        got = probes_mod._amplification(layers, pre)
+        assert hexes(got) == hexes(amplification_reference(params, pre))
+        _, inverse = probes_mod._gate_groups(layers, pre, 0)
+        assert inverse == [{0: 0, 1: 0, 2: 1, 3: 2}[s % 4] for s in range(samples)]
+
+    def test_groups_are_the_distinct_keys_in_first_seen_order(self):
+        params = self.zero_column_net()
+        rng = np.random.default_rng(4)
+        pre = [rng.standard_normal((300, width)) for width in (6, 5, 4, 3)]
+        pre[1][:, :3] = rng.choice([-1.0, 1.0], size=(300, 1)) * [1.0, 1.0, -1.0]  # 2 patterns
+        pre[2][:, [0, 2, 3]] = rng.choice([-1.0, 1.0], size=(300, 3))  # 8 patterns
+        layers = Step(params, None).layers()
+        representatives, inverse = probes_mod._gate_groups(layers, pre, 0)
+        keys = [tuple(pre[1][s, :3] > 0.0) + tuple(pre[2][s, [0, 2, 3]] > 0.0) for s in range(300)]
+        assert len(representatives) == len(set(keys)) == 16
+        assert list(representatives) == [keys.index(k) for k in dict.fromkeys(keys)]
+        assert all(keys[representatives[g]] == keys[s] for s, g in enumerate(inverse))

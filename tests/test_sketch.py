@@ -467,6 +467,53 @@ class TestResume:
             run_sketch(tiny_config(), run_dir)
         assert not list(run_dir.glob("round_*"))
 
+    @staticmethod
+    def killed_after(cfg, run_dir, rounds, monkeypatch):
+        """Run ``cfg`` into ``run_dir`` until ``rounds`` rounds are complete."""
+        real_train = sketch_mod.train
+
+        def dying_train(*args, **kwargs):
+            if len(completed_rounds(run_dir, cfg.config_hash())) == rounds:
+                raise KeyboardInterrupt("simulated kill")
+            return real_train(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sketch_mod, "train", dying_train)
+            with pytest.raises(KeyboardInterrupt):
+                run_sketch(cfg, run_dir)
+
+    def test_resume_decodes_init_only_to_rewind(self, tmp_path, monkeypatch):
+        cfg = tiny_config(epochs=2)
+        run_sketch(cfg, tmp_path / "a")
+        run_dir = tmp_path / "b"
+        self.killed_after(cfg, run_dir, 2, monkeypatch)
+        events = []
+        real_load, real_prune = sketch_mod.load_params, sketch_mod.prune
+
+        def load_params(path, *args, **kwargs):
+            events.append(Path(path).name)
+            return real_load(path, *args, **kwargs)
+
+        def prune(*args, **kwargs):
+            events.append("prune")
+            return real_prune(*args, **kwargs)
+
+        monkeypatch.setattr(sketch_mod, "load_params", load_params)
+        monkeypatch.setattr(sketch_mod, "prune", prune)
+        resume(run_dir)
+        # the layout comes from init.bin's headers: the resume decodes only the
+        # last round's files, and init.bin first as the next rewind's target
+        assert events[:4] == ["params.bin", "mask.bin", "prune", "init.bin"]
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
+
+    def test_resume_refuses_init_of_another_architecture(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "r"
+        self.killed_after(tiny_config(), run_dir, 1, monkeypatch)
+        save_params(run_dir / "init.bin", init_params(MlpArchitecture([6, 9, 3]), 5))
+        with pytest.raises(CheckpointError, match="init.bin"):
+            resume(run_dir)
+        assert len(list(run_dir.glob("round_*"))) == 1
+
     def test_tampered_config_refused(self, tmp_path):
         run_sketch(tiny_config(), tmp_path / "r")
         cfg_path = tmp_path / "r" / "config.json"
