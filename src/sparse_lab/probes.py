@@ -86,11 +86,9 @@ def _amplification(layers: list[tuple[np.ndarray, np.ndarray]], pre: list[np.nda
             norms = [float(np.abs(layers[-1][0]).sum(axis=0).max())] * samples
         else:
             representatives, inverse = _gate_groups(layers, pre, hidden)
-            grouped = len(representatives) < samples  # else every sample is its own group
             norms = []
             for start in range(0, len(representatives), AMPLIFICATION_CHUNK):
-                end = start + AMPLIFICATION_CHUNK
-                rows = representatives[start:end] if grouped else slice(start, end)
+                rows = representatives[start : start + AMPLIFICATION_CHUNK]
                 jac = layers[hidden + 1][0]
                 for m in range(hidden + 2, num_layers):
                     gate = (pre[m - 1][rows] > 0.0).astype(np.float64)
@@ -98,8 +96,7 @@ def _amplification(layers: list[tuple[np.ndarray, np.ndarray]], pre: list[np.nda
                     jac = np.matmul(layers[m][0] * gate[:, None, :], jac)
                 np.abs(jac, out=jac)
                 norms.extend(jac.sum(axis=1).max(axis=1).tolist())
-            if grouped:
-                norms = [norms[group] for group in inverse]
+            norms = [norms[group] for group in inverse]
         total = 0.0
         for norm in norms:  # in sample order, as the reference sums them
             total += norm
