@@ -31,7 +31,6 @@ from .nn import (  # noqa: E402
     TrainConfig,
     effective_lr,
     evaluate,
-    forward,
     init_params,
     loss_and_grad,
     sgd_step,
@@ -40,11 +39,8 @@ from .nn import (  # noqa: E402
 from .data import (  # noqa: E402
     LabeledDataset,
     NoiseRecord,
-    export_idx,
     inject_symmetric_noise,
     load_idx,
-    revert_noise,
-    save_idx,
     split,
     synth_blobs,
 )
@@ -69,22 +65,7 @@ from .reporting import (  # noqa: E402
     emit_curves,
     emit_metrics_csv,
     load_run,
-    parse_metrics_csv,
 )
 from .sketch import load_dataset, resume, run_sketch, sweep  # noqa: E402
-from .probes import amplification_check, excess_logits, excess_output, probe_along_run  # noqa: E402
+from .probes import amplification_check, excess_output, probe_along_run  # noqa: E402
 from .cli import cli_main  # noqa: E402
-
-__all__ = [
-    "__version__",
-    "EpochMetrics", "MlpArchitecture", "OptimizerState", "ParamSet", "TrainConfig",
-    "effective_lr", "evaluate", "forward", "init_params", "loss_and_grad", "sgd_step", "train",
-    "LabeledDataset", "NoiseRecord", "export_idx", "inject_symmetric_noise", "load_idx",
-    "revert_noise", "save_idx", "split", "synth_blobs",
-    "Mask", "PruneScope", "prune", "rewind", "sparsity",
-    "DatasetSpec", "PhaseReport", "RoundMetrics", "SketchConfig", "SketchRun",
-    "detect_phases", "load_dataset", "resume", "run_sketch", "sweep",
-    "ProbeResult", "amplification_check", "excess_logits", "excess_output", "probe_along_run",
-    "RunManifest", "emit_curves", "emit_metrics_csv", "load_run", "parse_metrics_csv",
-    "cli_main",
-]

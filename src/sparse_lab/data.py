@@ -2,7 +2,7 @@
 symmetric label noise with an exact audit trail, and seeded splits.
 
 A dataset is its features, labels, class count and noise record.  One IDX
-reader and one IDX writer serve the image and the label file of a pair.
+reader serves the image and the label file of a pair.
 """
 
 from __future__ import annotations
@@ -103,13 +103,6 @@ def _read_idx(path: str | Path, magic: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, count=size, offset=header).reshape(shape)
 
 
-def _write_idx(path: str | Path, magic: int, payload: np.ndarray) -> None:
-    """Write a uint8 array as an IDX file: ``magic``, its sizes, its bytes."""
-    with open(path, "wb") as f:
-        f.write(struct.pack(f">{1 + payload.ndim}I", magic, *payload.shape))
-        f.write(payload.tobytes())
-
-
 def load_idx(
     images_path: str | Path,
     labels_path: str | Path,
@@ -134,42 +127,6 @@ def load_idx(
     pixels = images.reshape(n, rows * cols)[:limit]
     features = (pixels.astype(np.float64) / 255.0 - MNIST_MEAN) / MNIST_STD
     return LabeledDataset(features=features, labels=labels[:limit], num_classes=10)
-
-
-def save_idx(
-    images: np.ndarray,
-    labels: np.ndarray,
-    images_path: str | Path,
-    labels_path: str | Path,
-) -> None:
-    """Write raw uint8 images [N, rows, cols] and labels [N] as an IDX pair."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError(f"images must be [N, rows, cols], got shape {images.shape}")
-    if labels.shape != (images.shape[0],):
-        raise ValueError("labels must align with images")
-    _write_idx(images_path, IDX_IMAGE_MAGIC, images)
-    _write_idx(labels_path, IDX_LABEL_MAGIC, labels)
-
-
-def export_idx(
-    ds: LabeledDataset,
-    images_path: str | Path,
-    labels_path: str | Path,
-    rows: int,
-    cols: int,
-) -> None:
-    """Export a dataset to IDX by inverting the MNIST standardization.
-
-    Exact round-trip for datasets that came from uint8 pixel grids; other
-    feature values are clipped into [0, 255].
-    """
-    if ds.dim != rows * cols:
-        raise ValueError(f"dataset dim {ds.dim} != rows*cols = {rows * cols}")
-    pixels = (ds.features * MNIST_STD + MNIST_MEAN) * 255.0
-    images = np.clip(np.rint(pixels), 0, 255).astype(np.uint8).reshape(ds.size, rows, cols)
-    save_idx(images, ds.labels.astype(np.uint8), images_path, labels_path)
 
 
 def synth_blobs(
@@ -239,13 +196,6 @@ def inject_symmetric_noise(
     )
     noisy = LabeledDataset(features=ds.features, labels=labels, num_classes=ds.num_classes, noise=record)
     return noisy, record
-
-
-def revert_noise(ds: LabeledDataset, record: NoiseRecord) -> LabeledDataset:
-    """Restore the clean labels recorded in a NoiseRecord."""
-    labels = ds.labels.copy()
-    labels[np.array(record.flipped_indices, dtype=np.int64)] = record.original_labels
-    return LabeledDataset(features=ds.features, labels=labels, num_classes=ds.num_classes)
 
 
 def train_count(n: int, train_fraction: float) -> int | None:

@@ -4,8 +4,8 @@ Dense MLPs with ReLU hidden activations and identity output, exact
 reverse-mode gradients for mean softmax cross-entropy, SGD with momentum,
 milestone learning-rate decay, and an L2 term added to the gradient before
 momentum and left out of the reported loss.
-The public forward, gradient and evaluation functions take a binary mask and
-apply it, so pruned weights contribute exactly zero and receive exactly zero
+The public gradient and evaluation functions take a binary mask and apply
+it, so pruned weights contribute exactly zero and receive exactly zero
 gradient whatever the stored values are.
 
 ``ParamSet`` is the one container for named tensors: every entry is a view
@@ -25,8 +25,8 @@ the gradients straight into the scratch.  The update covers the network in
 one in-place pass per stretch of consecutive tensors updated at all
 positions, plus one gather and scatter of the survivors of the large sparse
 weights (see ``Step``).  Surviving positions come out bitwise equal to a loop
-of the masked ``loss_and_grad`` + ``sgd_step``, and off-mask positions are 0
-in both.
+of the masked ``loss_and_grad`` and the planless update of
+``tests/reference.py``, and off-mask positions are 0 in both.
 
 All tensors are C-contiguous float64; all randomness flows through
 numpy PCG64 generators seeded explicitly, so identical inputs give
@@ -273,19 +273,6 @@ def init_params(arch: MlpArchitecture, seed: int) -> ParamSet:
     return params
 
 
-def forward_trace(
-    params: ParamSet, mask: "Mask | None", batch: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Forward pass keeping intermediates.
-
-    Returns (logits, pre_activations, activations) where activations[0] is
-    the input batch and activations[l] is the post-ReLU output of layer l
-    (the logits for the final layer).  The masked weights are built once, by
-    ``Step.layers``, before the layers run.
-    """
-    return Step(params, mask).trace(batch)
-
-
 def _as_batch(batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -351,9 +338,16 @@ class Step:
         return buf[:size].reshape(shape)
 
     def aim(self, mask: "Mask | None", cfg: TrainConfig | None = None) -> "Step":
-        """Point the step at ``mask`` and, given ``cfg``, plan its updates."""
+        """Point the step at ``mask`` and, given ``cfg``, plan its updates.
+
+        Without ``cfg`` the step drops its plan, whose stretches hold views
+        of the mask it was planned for, so a replaced mask is freed at once.
+        ``update`` runs only inside ``train``, which aims the step with its
+        ``cfg`` first.
+        """
         self.mask, self.cfg = mask, cfg
         if cfg is None:
+            self.stretches = self.gather = None
             return self
         self.lr = [effective_lr(cfg, epoch) for epoch in range(cfg.epochs)]
         runs: list[list] = []  # [start, stop, masks, decayed] of each in-place stretch
@@ -409,9 +403,9 @@ class Step:
     def trace(
         self, batch: np.ndarray, keep_pre: bool = True
     ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """``forward_trace`` of ``batch`` through this step's params and mask,
-        in its kept buffers, which the next pass overwrites (see ``lay_out``
-        for ``keep_pre``)."""
+        """(logits, pre-activations, activations) of ``batch`` through this
+        step's params and mask, in its kept buffers, which the next pass
+        overwrites (see ``forward``, and ``lay_out`` for ``keep_pre``)."""
         batch = _as_batch(batch)
         self.lay_out(batch.shape[0], keep_pre)
         return self.forward(self.layers(), batch)
@@ -429,7 +423,12 @@ class Step:
     def forward(
         self, layers: list[tuple[np.ndarray, np.ndarray]], batch: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """``forward_trace`` of a float64 [B, D] batch, into the laid-out buffers."""
+        """Forward pass of a float64 [B, D] batch, into the laid-out buffers.
+
+        Returns (logits, pre_activations, activations) where activations[0]
+        is the batch and activations[l] the post-ReLU output of layer l (the
+        logits for the final layer).
+        """
         n = batch.shape[0]
         pre: list[np.ndarray] = []
         acts: list[np.ndarray] = [batch]
@@ -485,12 +484,6 @@ class Step:
             _update(ws, gs, vs, [], [slice(None)], cfg.weight_decay, buf, cfg.momentum, lr)
             w[idx] = ws
             v[idx] = vs
-
-
-def forward(params: ParamSet, mask: "Mask | None", batch: np.ndarray) -> np.ndarray:
-    """Compute logits [B, num_classes]; masked weights contribute exactly 0."""
-    logits, _, _ = forward_trace(params, mask, batch)
-    return logits
 
 
 def _cross_entropy_loss(
@@ -570,51 +563,21 @@ def _update(w: np.ndarray, g: np.ndarray, v: np.ndarray, masks: list, decayed: l
     w -= g
 
 
-def sgd_step(
-    params: ParamSet,
-    grads: ParamSet,
-    state: OptimizerState,
-    mask: "Mask | None",
-    cfg: TrainConfig,
-    epoch: int,
-    step: Step | None = None,
-) -> None:
-    """One SGD-with-momentum update, in place.
+def sgd_step(state: OptimizerState, epoch: int, step: Step) -> None:
+    """``train``'s SGD-with-momentum update at ``epoch``, in place.
 
-    The L2 term enters as an additive gradient ``grad + weight_decay * w``
-    on prunable tensors only.  Without a step, every masked-out position is
-    re-zeroed in both the parameter and its velocity after the update.
-
-    With a ``Step`` aimed at ``mask`` and ``cfg`` for ``params`` (as
-    ``train``'s is), ``grads`` must be ``state.grads``, which the update
-    overwrites, and the off-mask weights and velocities must already be
-    exactly 0.  The in-place passes multiply each masked gradient by its mask
-    and the survivor update skips pruned positions, so off-mask entries stay
-    0 with no re-zeroing.
-    Every position gets bitwise the result of the per-tensor update ``g *=
-    mask; g += weight_decay * w; v = momentum * v + g; w -= lr * v``, and
-    surviving positions the result without a step.
+    ``step`` is the run's step, aimed at the mask and config of the ``train``
+    call; the gradients are in ``state.grads``, which the update overwrites,
+    and the off-mask weights and velocities are exactly 0.  The L2 term
+    enters as an additive gradient ``grad + weight_decay * w`` on prunable
+    tensors only.  The in-place passes multiply each masked gradient by its
+    mask and the survivor update skips pruned positions, so off-mask entries
+    stay 0 with no re-zeroing.  Every position gets bitwise the result of the
+    per-tensor update ``g *= mask; g += weight_decay * w; v = momentum * v +
+    g; w -= lr * v``, and surviving positions the result of the planless
+    reference update in ``tests/reference.py``.
     """
-    if step is not None:
-        if grads is not state.grads:
-            raise ValueError("with a step, grads must be state.grads")
-        step.update(state, epoch)
-        state.step_count += 1
-        return
-    lr = effective_lr(cfg, epoch)
-    for name in params.names():
-        g = grads[name]
-        w = params[name]
-        if cfg.weight_decay != 0.0 and params.is_prunable(name):
-            g = g + cfg.weight_decay * w
-        v = state.velocity[name]
-        v *= cfg.momentum
-        v += g
-        w -= lr * v
-        if mask is not None and name in mask:
-            m = mask[name]
-            w *= m
-            v *= m
+    step.update(state, epoch)
     state.step_count += 1
 
 
@@ -687,7 +650,8 @@ def train(
     so each step runs the forward and backward passes unmasked in the run's
     ``Step`` (``state.step_for``), writes the gradients into ``state.grads``
     and hands the step to ``sgd_step``.  Surviving params and velocities come
-    out bitwise equal to a loop of masked ``loss_and_grad`` + ``sgd_step``.
+    out bitwise equal to the masked loop of ``tests/reference.py``: masked
+    ``loss_and_grad`` and the planless update per minibatch.
     """
     features = train_set.features
     labels = train_set.labels
@@ -717,7 +681,7 @@ def train(
             b = idx.shape[0]
             features.take(idx, axis=0, out=batch[:b], mode="clip")
             loss, logits = step.backprop(layers, batch[:b], picks[start:stop])
-            sgd_step(params, state.grads, state, mask, cfg, epoch, step)
+            sgd_step(state, epoch, step)
             loss_sum += loss * b
             logits.argmax(axis=1, out=predicted[start:stop])
         predicted += offsets

@@ -11,12 +11,12 @@ unit-L1 activation perturbation.
 
 The amplification Jacobians are built as stacked per-sample GEMMs over
 fixed chunks of samples, with no Python loop over the samples.  Three rules
-keep the bits of the per-sample reference in ``selftest``: never flatten a
-chunk's stack into one GEMM, add the per-sample norms in sample order, and
-build one Jacobian per group of samples whose gates agree at every column of
-a gated weight that holds an entry ``!= 0.0``.  At an all-zero column either
-gate value gives the same product bits, so a group's samples feed the same
-operands, in the same shapes, to every GEMM of the chain.
+keep the bits of the per-sample reference in ``tests/reference.py``: never
+flatten a chunk's stack into one GEMM, add the per-sample norms in sample
+order, and build one Jacobian per group of samples whose gates agree at every
+column of a gated weight that holds an entry ``!= 0.0``.  At an all-zero
+column either gate value gives the same product bits, so a group's samples
+feed the same operands, in the same shapes, to every GEMM of the chain.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import ParamSet, Step, forward
+from .nn import ParamSet, Step
 from .pruning import Mask
 from .rundir import MASK, PARAMS, ProbeResult, completed_rounds, read_config
 from .rundir import load_probes, save_probes  # noqa: F401 - for the CLI and bench/tracer.py
@@ -34,11 +34,6 @@ from .sketch import load_round_file
 PROBE_BATCH_SIZE = 256
 # samples per stacked Jacobian GEMM in _amplification; bounds its temporaries
 AMPLIFICATION_CHUNK = 32
-
-
-def excess_logits(params: ParamSet, mask: Mask, batch: np.ndarray) -> np.ndarray:
-    """Per-sample, per-class excess output: forward(full) - forward(masked)."""
-    return forward(params, None, batch) - forward(params, mask, batch)
 
 
 def amplification_check(params: ParamSet, batch: np.ndarray) -> list[float]:
@@ -55,13 +50,14 @@ def amplification_check(params: ParamSet, batch: np.ndarray) -> list[float]:
     stack of gated weights into the chunk's (k, n) or (chunk, k, n)
     Jacobians, one BLAS GEMM per sample.  The last hidden layer's Jacobian is
     the output weight for every sample, so its norm is taken once.  Two rules
-    keep the result bit for bit that of ``selftest.amplification_reference``:
-    the stack is never flattened into one (chunk * out, k) GEMM, whose BLAS
-    blocking may sum the products in another order, and the norms are added
-    to the total one sample at a time, in sample order.  A third saves work
-    without moving a bit: the Jacobian is built once per group of samples
-    whose gates agree at every column of each gated weight that holds an
-    entry ``!= 0.0`` (a NaN counts), and each sample takes its group's norm.
+    keep the result bit for bit that of the per-sample reference,
+    ``amplification_reference`` in ``tests/reference.py``: the stack is never
+    flattened into one (chunk * out, k) GEMM, whose BLAS blocking may sum the
+    products in another order, and the norms are added to the total one
+    sample at a time, in sample order.  A third saves work without moving a
+    bit: the Jacobian is built once per group of samples whose gates agree at
+    every column of each gated weight that holds an entry ``!= 0.0`` (a NaN
+    counts), and each sample takes its group's norm.
     A column of ±0.0 entries times a gate of 0 or 1 keeps its bits, so the
     samples of a group feed bitwise-equal operands of the same shapes to
     every GEMM, and get equal Jacobians.  Only the set of samples shrinks:

@@ -119,39 +119,8 @@ def emit_metrics_csv(
     reemit_metrics_csv(_metrics_rows(run, probes), path)
 
 
-def parse_metrics_csv(path: str | Path) -> list[dict]:
-    """Parse an emitted metrics.csv back into per-row dicts (None for empty)."""
-    text = Path(path).read_text()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != METRICS_HEADER:
-        raise ValueError(f"unexpected metrics header in {path}")
-    cols = METRICS_HEADER.split(",")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(cols):
-            raise ValueError(f"malformed row in {path}: {line!r}")
-        row: dict = dict(zip(cols, cells))
-        for key in cols:
-            if key == "run_id":
-                continue
-            if row[key] == "":
-                row[key] = None
-            elif key in ("round", "seed"):
-                row[key] = int(row[key])
-            else:
-                row[key] = float(row[key])
-        rows.append(row)
-    return rows
-
-
 def reemit_metrics_csv(rows: list[dict], path: str | Path) -> None:
-    """Serialize row dicts under the header: the one writer of metrics.csv.
-
-    Rows from ``parse_metrics_csv`` re-emit byte-identically.
-    """
+    """Serialize row dicts under the header: the one writer of metrics.csv."""
     lines = [METRICS_HEADER]
     for row in rows:
         cells = []

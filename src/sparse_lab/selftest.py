@@ -1,26 +1,16 @@
-"""Built-in sanity suites for the CLI, and the reference oracles behind them.
+"""The two suites of ``sparse-lab selftest``, and the oracles behind them.
 
-Both suites check the fast paths against independent references: gradients
-against central finite differences of the loss, and pruning against a
-brute-force sort over (|value|, layer order, flat index).  The test suite
-uses the same oracles, and one more: the per-sample amplification loop that
-the stacked Jacobians of ``probes.amplification_check`` must match bit for bit.
-It also takes its two comparisons from here: ``equals_bitwise`` for ParamSets
-and ``is_subset_of`` for masks.
+The command checks an install without pytest.  Its suites check the fast
+paths against independent references: gradients against central finite
+differences of the loss, and pruning against a brute-force sort over
+(|value|, layer order, flat index).  The test suite uses the same oracles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .nn import (
-    MlpArchitecture,
-    ParamSet,
-    Step,
-    forward_trace,
-    init_params,
-    loss_and_grad,
-)
+from .nn import MlpArchitecture, ParamSet, Step, init_params, loss_and_grad
 from .pruning import Mask, PruneScope, prune
 
 
@@ -52,7 +42,7 @@ def max_relative_gradient_error(
 def kink_free(params: ParamSet, batch: np.ndarray) -> bool:
     """True when no hidden pre-activation lies within 1e-3 of the ReLU kink,
     so central differences see a smooth loss around ``params``."""
-    _, pre, _ = forward_trace(params, None, batch)
+    _, pre, _ = Step(params, None).trace(batch)
     return all(np.abs(z).min() > 1e-3 for z in pre[:-1])
 
 
@@ -72,44 +62,6 @@ def random_small_net(seed: int) -> tuple[ParamSet, np.ndarray, np.ndarray]:
         if kink_free(params, batch):
             return params, batch, labels
     raise RuntimeError(f"could not build a kink-free test net for seed {seed}")
-
-
-def amplification_reference(params: ParamSet, pre: list[np.ndarray]) -> list[float]:
-    """Per-sample reference for ``probes.amplification_check``.
-
-    ``pre`` holds the unmasked pre-activations of a batch.  For each sample
-    and hidden layer the Jacobian is built one layer at a time with the ReLU
-    gate on the rows of the right operand; the induced L1 norms are summed
-    in sample order and averaged.
-    """
-    layers = Step(params, None).layers()
-    num_layers = len(layers)
-    samples = pre[0].shape[0]
-    if samples == 0:
-        raise ValueError("batch must be a non-empty 2-D array")
-    ratios: list[float] = []
-    for hidden in range(num_layers - 1):
-        # Jacobian of the tail starting after ReLU `hidden` (0-based hidden index)
-        total = 0.0
-        for s in range(samples):
-            jac = layers[hidden + 1][0]
-            for m in range(hidden + 2, num_layers):
-                gate = (pre[m - 1][s] > 0.0).astype(np.float64)
-                jac = layers[m][0] @ (gate[:, None] * jac)
-            total += float(np.abs(jac).sum(axis=0).max())
-        ratios.append(total / samples)
-    return ratios
-
-
-def equals_bitwise(a: ParamSet, b: ParamSet) -> bool:
-    """Same names and shapes in the same order, and the same bit pattern in
-    every value: +0.0 differs from -0.0, and a NaN only equals its own payload."""
-    return a.shapes() == b.shapes() and np.array_equal(a.buffer.view(np.uint64), b.buffer.view(np.uint64))
-
-
-def is_subset_of(mask: Mask, other: Mask) -> bool:
-    """True when every 1 in ``mask`` is also 1 in ``other`` (monotonicity)."""
-    return mask.shapes() == other.shapes() and bool(np.all(mask.buffer <= other.buffer))
 
 
 def run_gradient_check(num_nets: int = 5, tolerance: float = 1e-6) -> tuple[bool, str]:

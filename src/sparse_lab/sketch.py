@@ -74,13 +74,6 @@ def load_round_file(run_dir: str | Path, k: int, name: str, out: ParamSet | None
         raise CheckpointError(f"round {k}: {exc}") from exc
 
 
-def load_round_state(run_dir: str | Path, k: int) -> tuple[ParamSet, Mask]:
-    """Trained params and mask of completed round k, each decoded once into its buffer."""
-    params = load_round_file(run_dir, k, PARAMS)
-    mask = load_round_file(run_dir, k, MASK)
-    return params, Mask.on_buffer(mask.buffer, mask.shapes())
-
-
 def _save_round(run_dir: Path, params: ParamSet, mask: Mask, metrics: RoundMetrics) -> None:
     d = round_dir(run_dir, metrics.round)
     d.mkdir(parents=True, exist_ok=True)
@@ -176,6 +169,7 @@ def run_sketch(cfg: SketchConfig, run_dir: str | Path, on_round=None) -> SketchR
                     f"no weights from {mask.surviving()} survivors"
                 )
             mask = new_mask
+            state.step_for(params, mask)  # so the run's step frees the replaced mask now
             load_params(init_path, out=params)  # the rewind target is the stored file
             rewind(params, params, mask, state)
         history = train(params, mask, state, train_noisy, cfg.train)

@@ -1,7 +1,10 @@
 """Shared fixtures and helpers for the test suite.
 
-The reference oracles (finite differences, the brute-force prune, the
-kink-free net builder) live in ``sparse_lab.selftest``.
+The oracles that ``sparse-lab selftest`` also runs (finite differences, the
+brute-force prune, the kink-free net builder) live in ``sparse_lab.selftest``;
+the reference code only the tests compare against (the planless update, the
+one-call forward pass, the per-sample amplification loop, the bitwise
+comparisons) lives in ``tests/reference.py``.
 """
 
 from __future__ import annotations

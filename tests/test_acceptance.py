@@ -29,9 +29,7 @@ from sparse_lab import (
     SketchConfig,
     TrainConfig,
     detect_phases,
-    excess_logits,
     excess_output,
-    forward,
     init_params,
     inject_symmetric_noise,
     load_idx,
@@ -41,13 +39,14 @@ from sparse_lab import (
     resume,
     rewind,
     run_sketch,
-    sgd_step,
     sweep,
     synth_blobs,
     train,
 )
 from sparse_lab.cli import MNIST_FILES
 from sparse_lab.selftest import brute_force_prune, max_relative_gradient_error, random_small_net
+
+from reference import excess_logits, forward, sgd_step
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -41,7 +41,8 @@ from sparse_lab.checkpoint import (
     save_tensors,
     verify_tensors,
 )
-from sparse_lab.selftest import equals_bitwise
+
+from reference import equals_bitwise
 
 
 class TestTensorRoundTrip:

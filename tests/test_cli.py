@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparse_lab import DatasetSpec, SketchConfig, TrainConfig, cli, cli_main, save_idx, sketch
-from sparse_lab.reporting import parse_metrics_csv
+from sparse_lab import DatasetSpec, SketchConfig, TrainConfig, cli, cli_main, sketch
 from sparse_lab.rundir import CheckpointError, completed_rounds, read_config
+
+from reference import parse_metrics_csv, save_idx
 
 
 def sketch_args(out, dataset="blobs", command="sketch", **overrides):

@@ -1,11 +1,14 @@
-"""The package's internal import graph: acyclic, module-level, public names only."""
+"""The package's internal import graph: acyclic, module-level, public names
+only; and every public definition used by something other than the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import sparse_lab
 
 PACKAGE = Path(sparse_lab.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
@@ -87,3 +90,44 @@ def test_no_module_imports_a_private_name():
         if name.startswith("_") and not name.startswith("__")
     ]
     assert private == []
+
+
+def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name and attribute ``tree`` refers to in code, outside ``skip``."""
+    names = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if child is skip:
+                continue
+            if isinstance(child, ast.Name):
+                names.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                names.add(child.attr)
+            visit(child)
+
+    visit(tree)
+    return names
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # used: referenced in the package's code (not only by its own definition
+    # or a re-export), by bench/ (code or an attribute string such as the
+    # tracer's table), or named in an inline code span of the README
+    trees = {m: ast.parse((PACKAGE / f"{m}.py").read_text()) for m in MODULES}
+    bench = set()
+    for path in (ROOT / "bench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bench |= referenced_names(tree)
+        bench |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    prose = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    readme = {word for span in re.findall(r"`([^`\n]+)`", prose) for word in re.findall(r"\w+", span)}
+    names = {m: referenced_names(tree) for m, tree in trees.items()}
+    unused = []
+    for m, tree in trees.items():
+        others = bench.union(readme, *(n for o, n in names.items() if o != m))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                    and node.name not in others and node.name not in referenced_names(tree, node)):
+                unused.append(f"{m}.{node.name}")
+    assert unused == [], unused

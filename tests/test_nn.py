@@ -16,15 +16,15 @@ from sparse_lab import (
     TrainConfig,
     effective_lr,
     evaluate,
-    forward,
     init_params,
     loss_and_grad,
-    sgd_step,
     synth_blobs,
     train,
 )
 
-from sparse_lab.selftest import equals_bitwise, kink_free, max_relative_gradient_error
+from sparse_lab.selftest import kink_free, max_relative_gradient_error
+
+from reference import equals_bitwise, forward, sgd_step
 
 from conftest import make_params
 

@@ -18,16 +18,15 @@ from sparse_lab import (
     TrainConfig,
     amplification_check,
     cli_main,
-    excess_logits,
     excess_output,
-    forward,
     init_params,
     probe_along_run,
     run_sketch,
 )
-from sparse_lab.nn import Step, forward_trace
-from sparse_lab.selftest import amplification_reference
-from sparse_lab.sketch import load_dataset, load_round_state
+from sparse_lab.nn import Step
+from sparse_lab.sketch import load_dataset
+
+from reference import amplification_reference, excess_logits, forward, forward_trace, load_round_state
 
 from conftest import make_params
 
@@ -171,7 +170,7 @@ class TestProbeAlongRun:
         assert len(series) == len(run.rounds) - 1
 
     def test_probe_pairs_params_with_next_mask(self, finished_run):
-        from sparse_lab.sketch import load_round_state
+        from reference import load_round_state
 
         _, run, run_dir = finished_run
         batch = np.random.default_rng(12).standard_normal((10, 5))

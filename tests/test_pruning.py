@@ -13,11 +13,12 @@ from sparse_lab import (
     init_params,
     prune,
     rewind,
-    sgd_step,
     sparsity,
 )
 
-from sparse_lab.selftest import brute_force_prune, equals_bitwise, is_subset_of
+from sparse_lab.selftest import brute_force_prune
+
+from reference import equals_bitwise, is_subset_of, sgd_step
 
 from conftest import make_params
 

@@ -15,11 +15,12 @@ from sparse_lab import (
     TrainConfig,
     emit_curves,
     emit_metrics_csv,
-    parse_metrics_csv,
     run_sketch,
 )
 from sparse_lab.probes import ProbeResult
 from sparse_lab.reporting import METRICS_HEADER, reemit_metrics_csv
+
+from reference import parse_metrics_csv
 
 
 def make_run(run_id="r", weight_decay=0.0, epsilon=0.1, seed=7, accs=(0.9, 0.8, 0.85)):

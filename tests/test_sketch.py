@@ -1,10 +1,12 @@
 """Sketch orchestration: the prune/rewind/retrain loop, phases, resume, sweep."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +185,28 @@ class TestRunSketch:
         # a resident copy of init, kept masked weights or a copy of the mask
         # made before the selection would each add a whole set
         assert peak <= data_bytes + 7 * param_bytes
+
+    def test_prune_releases_the_replaced_mask_before_the_rewind(self, tmp_path, monkeypatch):
+        # once prune returns, nothing may hold the mask it replaced: the run's
+        # step would otherwise keep it through the rewind's decode of init.bin
+        replaced, alive = [], []
+        real_prune, real_load = sketch_mod.prune, sketch_mod.load_params
+
+        def prune(params, mask, *args):
+            replaced.append(weakref.ref(mask.buffer))
+            return real_prune(params, mask, *args)
+
+        def load_params(path, out=None):
+            if Path(path).name == "init.bin" and out is not None:  # the rewind target
+                gc.collect()
+                alive.append(replaced[-1]() is not None)
+            return real_load(path, out)
+
+        monkeypatch.setattr(sketch_mod, "prune", prune)
+        monkeypatch.setattr(sketch_mod, "load_params", load_params)
+        run = run_sketch(tiny_config(t_iter=0.5, t_end=0.95), tmp_path / "r")
+        assert len(alive) == len(run.rounds) - 1 >= 4
+        assert not any(alive)
 
     def test_truncated_init_stops_the_next_rewind(self, tmp_path):
         run_dir = tmp_path / "r"

@@ -2,8 +2,8 @@
 
 ``train`` zeroes the off-mask weights and velocities once, runs forward and
 backward unmasked and updates only the survivors of sparse tensors.  The
-oracle here is the public, still-masked ``loss_and_grad`` + ``sgd_step``
-loop with the same shuffles.
+oracle here is the still-masked loop of ``loss_and_grad`` and the planless
+``sgd_step`` of ``tests/reference.py``, with the same shuffles.
 """
 
 import hashlib
@@ -23,12 +23,13 @@ from sparse_lab import (
     init_params,
     loss_and_grad,
     run_sketch,
-    sgd_step,
     synth_blobs,
     train,
 )
 from sparse_lab.checkpoint import load_tensors
 from sparse_lab.util import derive_seed
+
+from reference import sgd_step
 
 # fc1 and fc2 are large enough for the survivor update, fc3 is not
 ARCH = MlpArchitecture([24, 384, 24, 4])
