@@ -17,6 +17,15 @@ order, and build one Jacobian per group of samples whose gates agree at every
 column of a gated weight that holds an entry ``!= 0.0``.  At an all-zero
 column either gate value gives the same product bits, so a group's samples
 feed the same operands, in the same shapes, to every GEMM of the chain.
+
+The removed-weight scores allocate no parameter-sized array: ``|w|`` is
+written into the masked pass's weight buffer, spent once the masked logits
+are out, and each hidden layer's ``|activation|`` into the unmasked pass's
+activation buffer, spent once the amplification has read the
+pre-activations.  The removed entries are gathered with ``np.compress``,
+which yields the elements a boolean index yields, in the same flat order,
+so their sum keeps its bits.  The mask must hold exactly the prunable
+tensors; each entry is scored against its own layer's input, by name.
 """
 
 from __future__ import annotations
@@ -131,10 +140,24 @@ def excess_output(
 ) -> ProbeResult:
     """Measure the output perturbation attached to a mask's removed weights.
 
+    ``mask`` must hold exactly the prunable tensors of ``params``, in any
+    order: each entry is scored against its own layer's input, found by
+    name.  A mask that lists other names raises ValueError.
+
     The unmasked and the masked pass run through ``steps``, an unmasked and
     a masked ``Step`` of ``params``, which a caller probing many masks keeps
-    to reuse their buffers; without it a new pair is made.
+    to reuse their buffers; without it a new pair is made.  The score reuses
+    buffers the passes are done with: ``|w|`` goes into the masked step's
+    weight buffer once the masked logits are out, and each hidden layer's
+    ``|activation|`` into the unmasked step's activation buffer once the
+    amplification has its pre-activations.  The batch is never written.
     """
+    prunable, listed = set(params.prunable_names()), set(mask.names())
+    if listed != prunable:
+        raise ValueError(
+            f"mask must hold exactly the prunable tensors: missing {sorted(prunable - listed)}, "
+            f"extra {sorted(listed - prunable)}"
+        )
     batch = np.asarray(batch, dtype=np.float64)
     full, masked = (Step(params, None), Step(params, mask)) if steps is None else steps
     if full.params is not params or masked.params is not params:
@@ -142,23 +165,25 @@ def excess_output(
     # one unmasked pass serves the excess, the removed-weight products and the amplification
     logits, pre, acts = full.trace(batch)
     amp = _amplification(full.layers(), pre)
-    diff = logits - masked.aim(mask).trace(batch, keep_pre=False)[0]
+    masked.aim(mask).lay_out(batch.shape[0], keep_pre=False)
+    layers = masked.layers()  # each w * mask in a buffer of the masked step
+    diff = logits - masked.forward(layers, acts[0])[0]
     y_exc_l1 = float(np.abs(diff).sum(axis=1).mean())
 
     weight_l1 = 0.0
     prod_sum = 0.0
     prod_count = 0
-    for layer_idx, name in enumerate(mask.names()):
-        w = params[name]
+    for idx, ((name, _), (spent, _)) in enumerate(zip(masked.pairs, layers)):
         removed = mask[name] == 0.0
-        n_removed = int(removed.sum())
+        n_removed = np.count_nonzero(removed)
         if n_removed == 0:
             continue
-        w_abs = np.abs(w)
-        weight_l1 += float(w_abs[removed].sum())
+        w_abs = np.abs(params[name], out=spent)
+        # the removed entries in flat order, as w_abs[removed] gathers them: the same sum
+        weight_l1 += float(np.compress(removed.reshape(-1), w_abs).sum())
         w_abs *= removed  # |w| at the removed positions, 0 elsewhere
-        # |w_ij * a_j| for each masked (i, j) and each sample
-        a = np.abs(acts[layer_idx])  # [B, fan_in]
+        # |w_ij * a_j| for each masked (i, j) and each sample; acts[0] is the caller's batch
+        a = np.abs(acts[idx]) if idx == 0 else np.abs(acts[idx], out=acts[idx])  # [B, fan_in]
         prod_sum += float((a @ w_abs.T).sum())
         prod_count += n_removed * batch.shape[0]
 

@@ -5,9 +5,10 @@ another way: ``sgd_step`` is the masked update without a ``Step`` plan, which
 ``train``'s planned update must match bit for bit at every surviving position;
 ``forward`` and ``forward_trace`` are a whole pass built for one call;
 ``amplification_reference`` is the per-sample loop behind
-``probes.amplification_check``; ``parse_metrics_csv`` reads back what
-``reporting`` writes, and ``save_idx`` writes the IDX files that
-``data.load_idx`` reads.  The rest are comparisons (``equals_bitwise``,
+``probes.amplification_check``, and ``removed_weight_scores`` the
+boolean-index form of ``probes.excess_output``'s two removed-weight scores;
+``parse_metrics_csv`` reads back what ``reporting`` writes, and ``save_idx``
+writes the IDX files that ``data.load_idx`` reads.  The rest are comparisons (``equals_bitwise``,
 ``is_subset_of``) and readers (``load_round_state``) that only tests need.
 The package itself never runs any of them.
 """
@@ -108,6 +109,30 @@ def amplification_reference(params: ParamSet, pre: list[np.ndarray]) -> list[flo
             total += float(np.abs(jac).sum(axis=0).max())
         ratios.append(total / samples)
     return ratios
+
+
+def removed_weight_scores(params: ParamSet, mask: Mask, batch: np.ndarray) -> tuple[float, float]:
+    """(weight_l1_masked_out, condition1_score) of ``probes.excess_output``.
+
+    Each layer's removed weights are gathered with a boolean index into a
+    fresh ``|w|``, and each layer's input gets a fresh ``|activation|``; the
+    layers are taken in the order of ``params``.
+    """
+    _, _, acts = forward_trace(params, None, batch)
+    weight_l1 = 0.0
+    prod_sum = 0.0
+    prod_count = 0
+    for idx, name in enumerate(params.prunable_names()):
+        removed = mask[name] == 0.0
+        n_removed = int(removed.sum())
+        if n_removed == 0:
+            continue
+        w_abs = np.abs(params[name])
+        weight_l1 += float(w_abs[removed].sum())
+        w_abs *= removed
+        prod_sum += float((np.abs(acts[idx]) @ w_abs.T).sum())
+        prod_count += n_removed * batch.shape[0]
+    return weight_l1, prod_sum / prod_count if prod_count else 0.0
 
 
 def equals_bitwise(a: ParamSet, b: ParamSet) -> bool:

@@ -1,6 +1,7 @@
 """Excess-output probes and amplification checks."""
 
 import hashlib
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -26,7 +27,14 @@ from sparse_lab import (
 from sparse_lab.nn import Step
 from sparse_lab.sketch import load_dataset
 
-from reference import amplification_reference, excess_logits, forward, forward_trace, load_round_state
+from reference import (
+    amplification_reference,
+    excess_logits,
+    forward,
+    forward_trace,
+    load_round_state,
+    removed_weight_scores,
+)
 
 from conftest import make_params
 
@@ -108,6 +116,77 @@ class TestExcessOutput:
         a = excess_output(small_net, mask, batch)
         b = excess_output(small_net, mask, batch)
         assert a == b
+
+
+def five_wide():
+    # every layer reads 5 inputs, so a mask entry scored against another
+    # layer's input would still multiply, only to the wrong score
+    return init_params(MlpArchitecture([5, 5, 5, 3]), 4)
+
+
+def random_mask(params, rng, density=0.6):
+    return {n: (rng.random(params[n].shape) < density).astype(np.float64) for n in params.prunable_names()}
+
+
+def bits(*values):
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestExcessOutputMask:
+    @pytest.mark.parametrize("names, message", [
+        (["fc2.weight"], r"missing \['fc1.weight', 'fc3.weight'\], extra \[\]"),
+        (["fc1.weight", "fc2.weight", "fc3.weight", "fc4.weight"], r"missing \[\], extra \['fc4.weight'\]"),
+    ], ids=["partial", "extra"])
+    def test_mask_of_other_tensors_raises(self, names, message):
+        params = five_wide()
+        entries = random_mask(params, np.random.default_rng(20))
+        entries["fc4.weight"] = np.ones((3, 3))
+        batch = np.random.default_rng(21).standard_normal((6, 5))
+        with pytest.raises(ValueError, match=message):
+            excess_output(params, Mask({n: entries[n] for n in names}), batch)
+
+    def test_reordered_mask_scores_each_layer_against_its_own_input(self):
+        params = five_wide()
+        entries = random_mask(params, np.random.default_rng(24))
+        batch = np.random.default_rng(25).standard_normal((6, 5))
+        in_order = excess_output(params, Mask(entries), batch)
+        for order in (["fc3.weight", "fc2.weight", "fc1.weight"], ["fc2.weight", "fc3.weight", "fc1.weight"]):
+            reordered = Mask({n: entries[n] for n in order})
+            assert excess_output(params, reordered, batch) == in_order, order
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("share", [0.0, 0.2, 0.5, 0.95, 1.0])
+    @pytest.mark.parametrize(
+        "specials", [(), (0.0, -0.0), (np.inf, -np.inf), (np.nan, -np.nan), (-0.0, np.nan, np.inf)]
+    )
+    def test_removed_weight_scores_match_boolean_index_reference(self, share, specials):
+        rng = np.random.default_rng([int(share * 100), len(specials)])
+        params = init_params(MlpArchitecture([6, 9, 7, 3]), 5)
+        entries = {}
+        for name in params.prunable_names():
+            w = params[name].reshape(-1)
+            removed = rng.permutation(w.size)[: round(share * w.size)]
+            m = np.ones(w.size)
+            m[removed] = 0.0
+            m[removed[::2]] = -0.0  # a -0.0 mask entry removes its weight too
+            planted = removed[: len(specials)]
+            w[planted] = specials[: planted.size]
+            entries[name] = m.reshape(params[name].shape)
+        mask = Mask(entries)
+        batch = rng.standard_normal((11, 6))
+        result = excess_output(params, mask, batch)
+        expected = removed_weight_scores(params, mask, batch)
+        assert bits(result.weight_l1_masked_out, result.condition1_score) == bits(*expected)
+
+    def test_leaves_batch_params_and_mask_unchanged(self):
+        rng = np.random.default_rng(26)
+        params = init_params(MlpArchitecture([6, 9, 7, 3]), 6)
+        mask = Mask(random_mask(params, rng, density=0.5))
+        batch = rng.standard_normal((10, 6))  # float64 with negative entries: |x| in place would show
+        before = [batch.tobytes(), params.buffer.tobytes(), mask.buffer.tobytes()]
+        for steps in (None, (Step(params, None), Step(params, mask))):
+            excess_output(params, mask, batch, steps)
+            assert [batch.tobytes(), params.buffer.tobytes(), mask.buffer.tobytes()] == before
 
 
 class TestAmplificationCheck:
